@@ -4,10 +4,11 @@
 //             --seed <n> --seconds <s> --trace <0|1> [--spans <path>]
 //
 // A run repeats one round (fresh setup, timed window, correctness checks)
-// until --seconds have passed, after one warm-up round. The seed fixes the
-// inputs, so every round simulates exactly the same thing: the simulated
-// metrics come from the warm-up round and every later round must reproduce
-// them bit for bit; host-time metrics are medians over the timed rounds.
+// until --seconds have passed, at least once. The seed fixes the inputs, so
+// every round simulates exactly the same thing: the simulated metrics come
+// from the first round and every later round must reproduce them bit for
+// bit; host-time metrics are medians over the rounds. setup_s is the median
+// over the rounds' set-ups plus kExtraSetups set-ups that run no window.
 //
 // --trace 0 prints the end-to-end metrics. --trace 1 alternates untraced
 // and traced rounds and prints the per-layer metrics: deterministic counts
@@ -26,18 +27,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "perfbench/src/metrics.h"
 #include "perfbench/src/trace.h"
 #include "perfbench/src/workload.h"
+#include "src/runtime/serving.h"
 
 namespace perfbench {
 namespace {
 
-constexpr int kMinTimedRounds = 2;
+constexpr int kExtraSetups = 2;
 constexpr size_t kMaxSpansWritten = 50000;
 
 struct Args {
@@ -94,31 +95,27 @@ struct Round {
   std::vector<std::string> notes;
 };
 
+template <typename T>
+void Fold(uint64_t* h, const T& v) {
+  coyote::runtime::serving::FoldBytes(h, reinterpret_cast<const uint8_t*>(&v), sizeof(v));
+}
+
+// FNV-1a over every op's outcome and latency, the rate metrics and the
+// per-layer counts: equal fingerprints mean equal simulated results.
 uint64_t Fingerprint(const std::vector<OpRecord>& ops, const SimSummary& s,
                      const LayerValues& counts) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
+  uint64_t h = coyote::runtime::serving::kFnvOffset;
   for (const OpRecord& op : ops) {
-    mix(static_cast<uint64_t>(op.outcome));
-    mix(op.latency_ps);
+    Fold(&h, op.outcome);
+    Fold(&h, op.latency_ps);
   }
   for (double v : {s.goodput_per_s, s.gbps, s.slo_goodput_per_s}) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(bits);
+    Fold(&h, v);
   }
   for (const auto& [name, v] : counts) {
-    for (char c : name) {
-      mix(static_cast<uint8_t>(c));
-    }
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(bits);
+    coyote::runtime::serving::FoldBytes(&h, reinterpret_cast<const uint8_t*>(name.data()),
+                                        name.size());
+    Fold(&h, v);
   }
   return h;
 }
@@ -151,6 +148,14 @@ Round RunRound(const Args& args, Tracer* tracer, bool traced, double untraced_s)
   return r;
 }
 
+// Times one Setup() with no window after it.
+double TimeSetup(const Args& args, Tracer* tracer) {
+  std::unique_ptr<Workload> w = Make(args.workload, args.seed, tracer);
+  const int64_t t0 = NowNs();
+  w->Setup();
+  return static_cast<double>(NowNs() - t0) * 1e-9;
+}
+
 double PeakRssMb() {
   struct rusage ru;
   getrusage(RUSAGE_SELF, &ru);
@@ -181,38 +186,38 @@ int Main(int argc, char** argv) {
   }
 
   const int64_t start = NowNs();
-  const Round ref = RunRound(args, &tracer, false, 0.0);  // warm-up + reference
-  std::vector<Round> untraced, traced;
-  std::string failure = ref.failure;
   auto elapsed = [&]() { return static_cast<double>(NowNs() - start) * 1e-9; };
-  auto medians = [](const std::vector<Round>& rs, double Round::*field) {
-    std::vector<double> v;
-    for (const Round& r : rs) {
-      v.push_back(r.*field);
-    }
-    return Median(v);
-  };
+  // Set-ups with no window add samples to setup_s (a long round may run
+  // only once) and grow the heap before the first round.
+  std::vector<double> setups;
+  for (int i = 0; i < kExtraSetups; ++i) {
+    setups.push_back(TimeSetup(args, &tracer));
+  }
+  std::vector<Round> untraced, traced;
+  std::string failure;
   while (failure.empty()) {
-    const bool enough = args.trace == 0
-                            ? untraced.size() >= kMinTimedRounds
-                            : untraced.size() >= kMinTimedRounds && traced.size() >= 2;
+    const bool enough = !untraced.empty() && (args.trace == 0 || !traced.empty());
     if (enough && elapsed() >= args.seconds) {
       break;
     }
     const bool do_trace = args.trace == 1 && traced.size() < untraced.size();
-    const double untraced_s =
-        untraced.empty() ? ref.window_s : medians(untraced, &Round::window_s);
-    Round r = RunRound(args, &tracer, do_trace, untraced_s);
-    if (!r.failure.empty()) {
-      failure = r.failure;
-    } else if (r.fingerprint != ref.fingerprint) {
+    std::vector<double> windows;
+    for (const Round& u : untraced) {
+      windows.push_back(u.window_s);
+    }
+    Round r = RunRound(args, &tracer, do_trace, Median(windows));
+    failure = r.failure;
+    if (failure.empty() && !untraced.empty() && r.fingerprint != untraced.front().fingerprint) {
       failure = "simulated results differ between rounds of one seed";
     }
+    setups.push_back(r.setup_s);
     (do_trace ? traced : untraced).push_back(std::move(r));
   }
 
+  // The first round is the reference for the simulated metrics.
+  const Round& ref = untraced.front();
   const SimSummary& s = ref.sim;
-  std::printf("perfbench %s seed %" PRIu64 ": %zu untraced + %zu traced rounds after warm-up\n",
+  std::printf("perfbench %s seed %" PRIu64 ": %zu untraced + %zu traced rounds\n",
               args.workload.c_str(), args.seed, untraced.size(), traced.size());
   std::printf("  ops attempted %" PRIu64 "  ok %" PRIu64 "  failed %" PRIu64 "  shed %" PRIu64
               "  slo hits %" PRIu64 "\n",
@@ -235,7 +240,7 @@ int Main(int argc, char** argv) {
   };
 
   if (args.trace == 0) {
-    const double setup_s = medians(untraced, &Round::setup_s);
+    const double setup_s = Median(setups);
     const double rss = PeakRssMb();
     std::printf("  %-24s %14.4f us\n", "host_us_per_ok_op", host_us);
     std::printf("  %-24s %14.6f s\n", "setup_s", setup_s);

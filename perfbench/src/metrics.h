@@ -59,24 +59,6 @@ inline Percentile PercentileOf(const std::vector<double>& sorted, double p) {
   return out;
 }
 
-// `p` when the sample supports it; otherwise the highest percentile that
-// has kMinBeyond samples beyond it (out.p says which). Too few samples for
-// any percentile leaves it unsupported.
-inline Percentile ReportedPercentile(const std::vector<double>& sorted, double p) {
-  const Percentile exact = PercentileOf(sorted, p);
-  if (exact.supported || sorted.size() <= kMinBeyond) {
-    return exact;
-  }
-  const uint64_t rank = sorted.size() - kMinBeyond;
-  Percentile out;
-  out.p = 100.0 * static_cast<double>(rank) / static_cast<double>(sorted.size());
-  out.value = sorted[rank - 1];
-  out.samples = sorted.size();
-  out.beyond = kMinBeyond;
-  out.supported = true;
-  return out;
-}
-
 struct SimSummary {
   uint64_t attempted = 0;
   uint64_t ok = 0;
@@ -117,9 +99,9 @@ inline SimSummary Summarize(const std::vector<OpRecord>& ops, uint64_t span_ps,
     }
   }
   std::sort(lat_us.begin(), lat_us.end());
-  s.p50 = ReportedPercentile(lat_us, 50);
-  s.p99 = ReportedPercentile(lat_us, 99);
-  s.p999 = ReportedPercentile(lat_us, 99.9);
+  s.p50 = PercentileOf(lat_us, 50);
+  s.p99 = PercentileOf(lat_us, 99);
+  s.p999 = PercentileOf(lat_us, 99.9);
   const double span_s = static_cast<double>(span_ps) * 1e-12;
   if (span_s > 0) {
     s.goodput_per_s = static_cast<double>(s.ok) / span_s;

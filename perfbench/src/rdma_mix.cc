@@ -44,7 +44,7 @@ constexpr uint32_t kClients = 8;
 constexpr uint64_t kLaneBytes = kBufBytes / kClients;
 constexpr uint64_t kMinOp = 4 << 10;
 constexpr uint64_t kMaxOp = 64 << 10;
-constexpr uint32_t kOps = 8400;
+constexpr uint32_t kOps = 26000;  // ~12K OK on today's code; p99.9 needs 10,000
 constexpr uint32_t kReadPermille = 250;
 constexpr sim::TimePs kSlice = sim::Microseconds(200);
 constexpr sim::TimePs kSlo = sim::Microseconds(200);

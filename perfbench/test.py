@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The benchmark's own test.
 
-    python3 perfbench/test.py [--workloads serve_knee,rdma_mix,...]
+    python3 perfbench/test.py
 
 1. Builds the benchmark and runs the metric-arithmetic unit test.
 2. Runs each workload twice at one seed, untraced and traced, and checks
@@ -15,7 +15,6 @@ Exits nonzero on the first failure. Takes several minutes (rdma_mix rounds
 are slow on today's code).
 """
 
-import argparse
 import json
 import os
 import subprocess
@@ -71,16 +70,13 @@ def check_shape(workload):
 
 
 def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--workloads", default=",".join(run.WORKLOADS))
-    args = parser.parse_args()
     if not run.build():
         print("perfbench test: build failed")
         return 1
     unit = subprocess.run([os.path.join(run.BUILD, "perfbench_metrics_test")])
     if unit.returncode != 0:
         return 1
-    for workload in args.workloads.split(","):
+    for workload in run.WORKLOADS:
         check_same_seed(workload)
         check_shape(workload)
         print("perfbench test: %s ok" % workload)
