@@ -13,12 +13,6 @@ namespace {
 
 using serving::FoldBytes;
 
-// Injector seed derivation: one independent stream per logical node, stable
-// across shard counts and placements.
-uint64_t NodeSeed(uint64_t fleet_seed, uint32_t logical_node) {
-  return fleet_seed ^ (0x9E3779B97F4A7C15ull * (logical_node + 1));
-}
-
 // Deterministic per-tenant item payload; the restore target regenerates the
 // same bytes, so the rolling data hash is a pure function of the spec.
 uint8_t PatternByte(uint32_t tenant, uint64_t item, uint64_t i) {
@@ -31,33 +25,19 @@ uint8_t PatternByte(uint32_t tenant, uint64_t item, uint64_t i) {
 // Fleet: construction and host-side setup
 // ---------------------------------------------------------------------------
 
-Fleet::Fleet(const Config& config) : config_(config) {
-  // Conservative lookahead: the minimum cross-node traversal of the modeled
-  // fabric — switch latency plus serialization of a minimum frame on both
-  // links (net::Network::MinCrossNodeLatencyPs's formula).
-  const sim::TimePs lookahead =
-      config_.net.switch_latency + 2 * sim::TransferTime(64, config_.net.link_bps);
-
-  orch_logical_ = config_.num_nodes;
-  shard_of_ = ShardPlacement::RoundRobin(config_.num_nodes + 1, config_.num_shards);
-
-  sim::ShardedEngine::Config ec;
-  ec.num_shards = config_.num_shards;
-  ec.lookahead = lookahead;
-  ec.use_threads = config_.use_threads;
-  sharded_ = std::make_unique<sim::ShardedEngine>(ec);
-
+Fleet::Fleet(const Config& config)
+    : config_(config),
+      cluster_("fleet", config.num_nodes, config.num_shards, config.use_threads, config.seed,
+               config.net) {
   nodes_.reserve(config_.num_nodes);
   for (uint32_t n = 0; n < config_.num_nodes; ++n) {
     auto node = std::make_unique<NodeRt>();
-    node->id = n;
-
     SimDevice::Config dc;
     dc.shell.name = "fleet-node";
     dc.shell.services = {fabric::Service::kHostStream, fabric::Service::kCardMemory};
     dc.shell.num_vfpgas = config_.regions_per_node;
     dc.ip = 0x0A000001u + n;
-    node->dev = std::make_unique<SimDevice>(dc, nullptr, &EngineAt(n));
+    node->dev = std::make_unique<SimDevice>(dc, nullptr, &cluster_.EngineAt(n));
 
     // Preload the kernel into every region host-side: reconfiguration nests
     // an engine run (SimDevice::StageAndProgram) and therefore must never
@@ -71,40 +51,39 @@ Fleet::Fleet(const Config& config) : config_(config) {
     }
 
     sim::FaultPlan plan = config_.fault_template;
-    plan.seed = NodeSeed(config_.seed, n);
-    node->injector =
-        std::make_unique<sim::FaultInjector>(&EngineAt(n), plan);
+    plan.seed = cluster_.NodeSeed(n);
+    node->injector = std::make_unique<sim::FaultInjector>(&cluster_.EngineAt(n), plan);
     node->dev->AttachFaultInjector(node->injector.get());
 
     node->sup = std::make_unique<Supervisor>(node->dev.get(), nullptr, config_.supervisor);
     node->region_tenant.assign(config_.regions_per_node, -1);
     nodes_.push_back(std::move(node));
-
-    auto guard = std::make_unique<sim::AccessGuard>("fleet.node" + std::to_string(n));
-    guard->BindShard(shard_of_[n]);
-    node_guards_.push_back(std::move(guard));
   }
 
   sim::FaultPlan orch_plan = config_.fault_template;
-  orch_plan.seed = NodeSeed(config_.seed, orch_logical_);
-  orch_injector_ = std::make_unique<sim::FaultInjector>(
-      &EngineAt(orch_logical_), orch_plan);
+  orch_plan.seed = cluster_.NodeSeed(cluster_.control());
+  orch_injector_ =
+      std::make_unique<sim::FaultInjector>(&cluster_.EngineAt(cluster_.control()), orch_plan);
 
   orch_ = std::make_unique<Orchestrator>(this);
+  // A killed node's checkpoints and supervisor stop with its heartbeat.
+  cluster_.SetKillHook([this](uint32_t node) {
+    sim::ActorScope actor(sim::kActorOrchestrator);
+    NodeRt& n = *nodes_[node];
+    cluster_.node_guard(node).Write();
+    if (n.ckpt_timer != sim::TimerWheel::kInvalidTimer) {
+      n.dev->timers().Cancel(n.ckpt_timer);
+      n.ckpt_timer = sim::TimerWheel::kInvalidTimer;
+    }
+    n.sup->Stop();
+  });
 }
 
 Fleet::~Fleet() = default;
 
 uint32_t Fleet::AddTenant(const TenantSpec& spec) {
   const uint32_t id = next_tenant_++;
-  NodeRt& n = *nodes_.at(spec.home_node);
-  int32_t region = -1;
-  for (uint32_t r = 0; r < n.region_tenant.size(); ++r) {
-    if (n.region_tenant[r] < 0) {
-      region = static_cast<int32_t>(r);
-      break;
-    }
-  }
+  const int32_t region = orch_->health_.at(spec.home_node).regions.FindFree();
   // Host-side setup runs outside any shard context, so touching node state
   // directly (rather than through Post) is legal here.
   StartTenantFresh(spec.home_node, id, spec, region);
@@ -113,37 +92,28 @@ uint32_t Fleet::AddTenant(const TenantSpec& spec) {
 }
 
 void Fleet::ScheduleMigration(sim::TimePs t, uint32_t tenant, uint32_t dst_node) {
-  sharded_->ScheduleOn(shard_of_[orch_logical_], t, [this, tenant, dst_node]() {
+  cluster_.ScheduleOnNode(cluster_.control(), t, [this, tenant, dst_node]() {
     orch_->StartMigration(tenant, dst_node, "planned");
   });
 }
 
-void Fleet::ScheduleKill(sim::TimePs t, uint32_t node) {
-  sharded_->ScheduleOn(shard_of_[node], t, [this, node]() { KillNode(node); });
-}
-
 bool Fleet::Run(sim::TimePs horizon, sim::TimePs step) {
-  if (!started_) {
-    started_ = true;
-    for (auto& node : nodes_) {
-      const uint32_t id = node->id;
-      node->hb_timer = node->dev->timers().SchedulePeriodic(
-          config_.heartbeat_period, [this, id]() { HeartbeatTick(id); });
-      if (config_.checkpoint_period > 0) {
-        node->ckpt_timer = node->dev->timers().SchedulePeriodic(
-            config_.checkpoint_period, [this, id]() { CheckpointTick(id); });
-      }
-      node->sup->Start();
-    }
-    orch_->timers_.SchedulePeriodic(config_.sweep_period, [this]() { orch_->Sweep(); });
-  }
-  for (sim::TimePs t = step; t <= horizon; t += step) {
-    sharded_->RunUntil(t);
-    if (orch_->AllSettled()) {
-      return true;
-    }
-  }
-  return orch_->AllSettled();
+  // Heartbeats are unframed posts at lookahead.
+  cluster_.Start(
+      config_.heartbeat_period,
+      [this](uint32_t node, uint64_t) {
+        cluster_.Post(node, cluster_.control(), 0, [this, node]() { orch_->OnHeartbeat(node); });
+      },
+      config_.sweep_period, [this]() { orch_->Sweep(); },
+      [this](uint32_t node) {
+        NodeRt& n = *nodes_[node];
+        if (config_.checkpoint_period > 0) {
+          n.ckpt_timer = n.dev->timers().SchedulePeriodic(
+              config_.checkpoint_period, [this, node]() { CheckpointTick(node); });
+        }
+        n.sup->Start();
+      });
+  return cluster_.Run(horizon, step, [this]() { return orch_->AllSettled(); });
 }
 
 TenantOutcome Fleet::tenant_outcome(uint32_t tenant) const {
@@ -165,45 +135,12 @@ uint64_t Fleet::tenant_items_done(uint32_t tenant) const {
 }
 
 uint64_t Fleet::InjectorFingerprint() const {
-  uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
+  uint64_t h = serving::kFnvOffset;
   for (const auto& node : nodes_) {
-    mix(node->injector->ScheduleFingerprint());
+    serving::FoldU64(&h, node->injector->ScheduleFingerprint());
   }
-  mix(orch_injector_->ScheduleFingerprint());
+  serving::FoldU64(&h, orch_injector_->ScheduleFingerprint());
   return h;
-}
-
-// ---------------------------------------------------------------------------
-// Fleet: cross-node messaging
-// ---------------------------------------------------------------------------
-
-sim::Engine& Fleet::EngineAt(uint32_t logical) {
-  return sharded_->shard(shard_of_[logical]);  // lint: cross-shard-ok own-shard accessor, callers pass their own logical node; cross-node traffic goes through Post
-}
-
-sim::TimePs Fleet::NowAt(uint32_t logical) { return EngineAt(logical).Now(); }
-
-void Fleet::PostToNode(uint32_t src_logical, uint32_t dst_node, sim::TimePs delay,
-                       sim::InlineCallback cb) {
-  const sim::TimePs now = NowAt(src_logical);
-  const sim::TimePs wire = std::max(delay, sharded_->lookahead());
-  sharded_->Post(shard_of_[dst_node], now + wire, std::move(cb), /*order_key=*/src_logical);
-}
-
-void Fleet::PostToOrch(uint32_t src_logical, sim::TimePs delay, sim::InlineCallback cb) {
-  PostToNode(src_logical, orch_logical_, delay, std::move(cb));
-}
-
-sim::TimePs Fleet::ChunkWireDelay(uint32_t chunk_index, uint64_t cumulative_bytes) const {
-  (void)chunk_index;
-  return config_.net.switch_latency +
-         sim::TransferTime(cumulative_bytes, config_.net.link_bps);
 }
 
 // ---------------------------------------------------------------------------
@@ -214,67 +151,84 @@ void Fleet::StartTenantFresh(uint32_t node, uint32_t tenant, const TenantSpec& s
                              int32_t region) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   NodeRt& n = *nodes_[node];
-  if (!n.alive || region < 0) {
+  if (!cluster_.alive(node) || region < 0) {
     return;
   }
-  node_guards_[node]->Write();
-  auto t = std::make_unique<TenantRt>();
-  t->id = tenant;
-  t->spec = spec;
-  t->node = node;
-  t->region = region;
-  t->thread = std::make_unique<CThread>(n.dev.get(), static_cast<uint32_t>(region));
-  t->src_vaddr = t->thread->GetMem({Alloc::kHpf, spec.item_bytes});
-  t->dst_vaddr = t->thread->GetMem({Alloc::kHpf, spec.item_bytes});
-  t->thread->SetCompletionCallback([this, node, tenant](CThread::Task task, OpStatus status) {
-    OnItemComplete(node, tenant, task, status);
-  });
+  cluster_.node_guard(node).Write();
+  std::unique_ptr<TenantRt> t = NewTenantRt(node, tenant, spec, region);
   t->running = true;
   n.region_tenant[region] = static_cast<int32_t>(tenant);
   n.tenants[tenant] = std::move(t);
   StartItem(node, tenant);
 }
 
+std::unique_ptr<Fleet::TenantRt> Fleet::NewTenantRt(uint32_t node, uint32_t tenant,
+                                                     const TenantSpec& spec, int32_t region) {
+  auto t = std::make_unique<TenantRt>();
+  t->id = tenant;
+  t->spec = spec;
+  t->region = region;
+  t->thread = std::make_unique<CThread>(nodes_[node]->dev.get(), static_cast<uint32_t>(region));
+  t->src_vaddr = t->thread->GetMem({Alloc::kHpf, spec.item_bytes});
+  t->dst_vaddr = t->thread->GetMem({Alloc::kHpf, spec.item_bytes});
+  t->thread->SetCompletionCallback([this, node, tenant](CThread::Task task, OpStatus status) {
+    OnItemComplete(node, tenant, task, status);
+  });
+  return t;
+}
+
+Fleet::TenantRt* Fleet::LiveTenant(uint32_t node, uint32_t tenant) {
+  auto& tenants = nodes_[node]->tenants;
+  auto it = tenants.find(tenant);
+  return cluster_.alive(node) && it != tenants.end() ? it->second.get() : nullptr;
+}
+
+void Fleet::ReleaseTenant(NodeRt& n, TenantRt& t) {
+  if (t.src_vaddr != 0) {
+    t.thread->FreeMem(t.src_vaddr);  // unmap + TLB shootdown
+    t.thread->FreeMem(t.dst_vaddr);
+    t.src_vaddr = t.dst_vaddr = 0;
+  }
+  if (t.region >= 0) {
+    n.region_tenant[t.region] = -1;
+  }
+  t.region = -1;
+}
+
 void Fleet::StartItem(uint32_t node, uint32_t tenant) {
-  NodeRt& n = *nodes_[node];
-  auto it = n.tenants.find(tenant);
-  if (!n.alive || it == n.tenants.end()) {
+  TenantRt* t = LiveTenant(node, tenant);
+  if (t == nullptr || !t->running || t->item_inflight || t->items_done >= t->spec.items_total) {
     return;
   }
-  TenantRt& t = *it->second;
-  if (!t.running || t.item_inflight || t.items_done >= t.spec.items_total) {
-    return;
-  }
-  node_guards_[node]->Write();
-  t.item_inflight = true;
+  cluster_.node_guard(node).Write();
+  t->item_inflight = true;
   // One item = one serving envelope: the same request shape the Router ships
   // to node schedulers, here issued directly on the tenant's resident region.
-  std::vector<uint8_t> payload(t.spec.item_bytes);
-  for (uint64_t i = 0; i < t.spec.item_bytes; ++i) {
-    payload[i] = PatternByte(tenant, t.items_done, i);
+  std::vector<uint8_t> payload(t->spec.item_bytes);
+  for (uint64_t i = 0; i < t->spec.item_bytes; ++i) {
+    payload[i] = PatternByte(tenant, t->items_done, i);
   }
   serving::ServingRequest item;
-  item.id = t.items_done;
+  item.id = t->items_done;
   item.tenant = tenant;
   item.kernel = config_.kernel_name;
   item.payload = axi::BufferView(std::move(payload));
-  serving::StageAndInvoke(t.thread.get(), t.src_vaddr, t.dst_vaddr, item);
+  serving::StageAndInvoke(t->thread.get(), t->src_vaddr, t->dst_vaddr, item);
 }
 
 void Fleet::OnItemComplete(uint32_t node, uint32_t tenant, CThread::Task task, OpStatus status) {
   (void)task;
   sim::ActorScope actor(sim::kActorOrchestrator);
-  NodeRt& n = *nodes_[node];
-  auto it = n.tenants.find(tenant);
-  if (!n.alive || it == n.tenants.end()) {
+  TenantRt* tp = LiveTenant(node, tenant);
+  if (tp == nullptr) {
     return;
   }
-  TenantRt& t = *it->second;
+  TenantRt& t = *tp;
   t.item_inflight = false;
   if (!t.running) {
     return;  // quiesce/shed abort completions land here with running unset
   }
-  node_guards_[node]->Write();
+  cluster_.node_guard(node).Write();
   if (status == OpStatus::kOk) {
     std::vector<uint8_t> out(t.spec.item_bytes);
     t.thread->ReadBuffer(t.dst_vaddr, out.data(), out.size());
@@ -286,48 +240,33 @@ void Fleet::OnItemComplete(uint32_t node, uint32_t tenant, CThread::Task task, O
       // Retire in place: free the buffers (TLB shootdown at the source) and
       // hand the region back through the orchestrator's books.
       t.running = false;
-      t.thread->FreeMem(t.src_vaddr);
-      t.thread->FreeMem(t.dst_vaddr);
-      t.src_vaddr = t.dst_vaddr = 0;
-      if (t.region >= 0) {
-        n.region_tenant[t.region] = -1;
-      }
-      t.region = -1;
-      PostToOrch(node, 0, [this, tenant]() { orch_->OnTenantDone(tenant); });
+      ReleaseTenant(*nodes_[node], t);
+      cluster_.Post(node, cluster_.control(), 0,
+                    [this, tenant]() { orch_->OnTenantDone(tenant); });
       return;
     }
-    EngineAt(node).ScheduleAfter(t.spec.think_time,
-                                                   [this, node, tenant]() { StartItem(node, tenant); });
+    cluster_.EngineAt(node).ScheduleAfter(t.spec.think_time,
+                                          [this, node, tenant]() { StartItem(node, tenant); });
     return;
   }
   // Typed error completion (DMA abort, deadline): retry the same item after
   // a think-time backoff. kShed never reaches here (running is unset first).
   ++t.retries;
-  EngineAt(node).ScheduleAfter(t.spec.think_time,
-                                                 [this, node, tenant]() { StartItem(node, tenant); });
+  cluster_.EngineAt(node).ScheduleAfter(t.spec.think_time,
+                                        [this, node, tenant]() { StartItem(node, tenant); });
 }
 
 // ---------------------------------------------------------------------------
-// Fleet: heartbeats and periodic checkpoints (node shard context)
+// Fleet: periodic checkpoints (node shard context)
 // ---------------------------------------------------------------------------
-
-void Fleet::HeartbeatTick(uint32_t node) {
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
-    return;
-  }
-  const uint64_t seq = ++n.hb_seq;
-  const sim::TimePs sent = NowAt(node);
-  PostToOrch(node, 0, [this, node, seq, sent]() { orch_->OnHeartbeat(node, seq, sent); });
-}
 
 void Fleet::CheckpointTick(uint32_t node) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  if (!cluster_.alive(node)) {
     return;
   }
-  node_guards_[node]->Write();
+  cluster_.node_guard(node).Write();
   for (auto& [tenant, t] : n.tenants) {
     if (!t->running) {
       continue;
@@ -336,14 +275,12 @@ void Fleet::CheckpointTick(uint32_t node) {
     // and are re-issued whole on restore, so the tenant keeps executing.
     uint64_t pages = 0;
     std::vector<uint8_t> blob = BuildCheckpoint(n, *t, t->thread->SnapshotPending(), &pages);
-    t->last_ckpt_clock = n.dev->svm().dirty_clock();
-    const sim::TimePs captured = NowAt(node);
-    const sim::TimePs wire = config_.net.switch_latency +
-                             sim::TransferTime(blob.size(), config_.net.link_bps);
+    const sim::TimePs wire = cluster_.WireDelay(blob.size());
     const uint32_t tenant_id = tenant;
-    PostToOrch(node, wire, [this, tenant_id, blob = std::move(blob), pages, captured]() mutable {
-      orch_->OnCheckpoint(tenant_id, std::move(blob), pages, captured);
-    });
+    cluster_.Post(node, cluster_.control(), wire,
+                  [this, tenant_id, blob = std::move(blob), pages]() mutable {
+                    orch_->OnCheckpoint(tenant_id, std::move(blob), pages);
+                  });
   }
 }
 
@@ -461,14 +398,7 @@ bool Fleet::ApplyCheckpoint(uint32_t node, int32_t region, const std::vector<uin
     return false;
   }
 
-  auto t = std::make_unique<TenantRt>();
-  t->id = tenant;
-  t->spec = spec;
-  t->node = node;
-  t->region = region;
-  t->thread = std::make_unique<CThread>(n.dev.get(), static_cast<uint32_t>(region));
-  t->src_vaddr = t->thread->GetMem({Alloc::kHpf, spec.item_bytes});
-  t->dst_vaddr = t->thread->GetMem({Alloc::kHpf, spec.item_bytes});
+  std::unique_ptr<TenantRt> t = NewTenantRt(node, tenant, spec, region);
   for (const auto& s : src_segs) {
     t->thread->WriteBuffer(t->src_vaddr + s.off, s.bytes.data(), s.bytes.size());
   }
@@ -483,9 +413,6 @@ bool Fleet::ApplyCheckpoint(uint32_t node, int32_t region, const std::vector<uin
   t->items_done = items_done;
   t->retries = retries;
   t->data_hash = data_hash;
-  t->thread->SetCompletionCallback([this, node, tenant](CThread::Task task, OpStatus status) {
-    OnItemComplete(node, tenant, task, status);
-  });
   // Re-issue the ops the quiesce cut short, rebased onto the new buffers.
   // The workload keeps at most one op in flight, so the re-issue cannot
   // double-fold the data hash.
@@ -517,16 +444,16 @@ void Fleet::BeginMigration(uint32_t node, uint32_t tenant, uint32_t dst_node,
                            int32_t dst_region) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  if (!cluster_.alive(node)) {
     return;  // the sweep will declare this node dead and evacuate instead
   }
   auto it = n.tenants.find(tenant);
   if (it == n.tenants.end() || !it->second->running) {
-    PostToOrch(node, 0,
-               [this, tenant]() { orch_->OnMigrationFailed(tenant, "src.not_running"); });
+    cluster_.Post(node, cluster_.control(), 0,
+                  [this, tenant]() { orch_->OnMigrationFailed(tenant, "src.not_running"); });
     return;
   }
-  node_guards_[node]->Write();
+  cluster_.node_guard(node).Write();
   TenantRt& t = *it->second;
 
   // QUIESCE: stop issuing, snapshot the in-flight descriptors, then abort
@@ -542,32 +469,38 @@ void Fleet::BeginMigration(uint32_t node, uint32_t tenant, uint32_t dst_node,
   t.mig_blob = BuildCheckpoint(n, t, t.mig_pending, &pages);
   t.mig_dst = dst_node;
   t.mig_dst_region = dst_region;
-  t.mig_quiesced_at = NowAt(node);
 
-  const uint32_t chunks = static_cast<uint32_t>(
-      (t.mig_blob.size() + config_.chunk_bytes - 1) / config_.chunk_bytes);
+  const uint32_t chunks = ChunkCount(t.mig_blob.size());
   const uint64_t bytes = t.mig_blob.size();
-  const sim::TimePs quiesced = t.mig_quiesced_at;
-  PostToOrch(node, 0, [this, tenant, quiesced, bytes, pages, chunks]() {
+  const sim::TimePs quiesced = cluster_.NowAt(node);
+  cluster_.Post(node, cluster_.control(), 0, [this, tenant, quiesced, bytes, pages, chunks]() {
     orch_->OnMigrationQuiesced(tenant, quiesced, bytes, pages, chunks);
   });
 
   // TRANSFER: serialize-out at capture bandwidth, then chunks on the wire.
-  std::vector<uint32_t> ids(chunks);
-  for (uint32_t i = 0; i < chunks; ++i) {
+  const sim::TimePs capture_delay = sim::TransferTime(bytes, config_.capture_bps);
+  SendChunks(node, dst_node, tenant, t.mig_blob, AllChunks(bytes), /*round=*/0, dst_region,
+             capture_delay);
+}
+
+uint32_t Fleet::ChunkCount(uint64_t blob_bytes) const {
+  return static_cast<uint32_t>((blob_bytes + config_.chunk_bytes - 1) / config_.chunk_bytes);
+}
+
+std::vector<uint32_t> Fleet::AllChunks(uint64_t blob_bytes) const {
+  std::vector<uint32_t> ids(ChunkCount(blob_bytes));
+  for (uint32_t i = 0; i < ids.size(); ++i) {
     ids[i] = i;
   }
-  const sim::TimePs capture_delay = sim::TransferTime(bytes, config_.capture_bps);
-  SendChunks(node, dst_node, tenant, t.mig_blob, ids, chunks, /*round=*/0, dst_region,
-             capture_delay);
+  return ids;
 }
 
 void Fleet::SendChunks(uint32_t src_logical, uint32_t dst_node, uint32_t tenant,
                        const std::vector<uint8_t>& blob, const std::vector<uint32_t>& chunk_ids,
-                       uint32_t total_chunks, uint32_t round, int32_t dst_region,
-                       sim::TimePs extra_delay) {
+                       uint32_t round, int32_t dst_region, sim::TimePs extra_delay) {
+  const uint32_t total_chunks = ChunkCount(blob.size());
   sim::FaultInjector& injector =
-      src_logical == orch_logical_ ? *orch_injector_ : *nodes_[src_logical]->injector;
+      src_logical == cluster_.control() ? *orch_injector_ : *nodes_[src_logical]->injector;
   uint64_t cumulative = 0;
   for (uint32_t i = 0; i < chunk_ids.size(); ++i) {
     const uint32_t id = chunk_ids[i];
@@ -579,31 +512,31 @@ void Fleet::SendChunks(uint32_t src_logical, uint32_t dst_node, uint32_t tenant,
     }
     std::vector<uint8_t> bytes(blob.begin() + static_cast<ptrdiff_t>(off),
                                blob.begin() + static_cast<ptrdiff_t>(off + len));
-    PostToNode(src_logical, dst_node, extra_delay + ChunkWireDelay(i, cumulative),
-               [this, dst_node, tenant, id, bytes = std::move(bytes)]() mutable {
-                 OnChunk(dst_node, tenant, id, std::move(bytes));
-               });
+    cluster_.Post(src_logical, dst_node, extra_delay + cluster_.WireDelay(cumulative),
+                  [this, dst_node, tenant, id, bytes = std::move(bytes)]() mutable {
+                    OnChunk(dst_node, tenant, id, std::move(bytes));
+                  });
   }
   // The marker always arrives (control channel): it carries the per-round
   // corruption draw and closes the round on the receiver.
   const uint64_t corrupt = injector.NextCheckpointCorrupt();
-  const sim::TimePs marker_delay = extra_delay + ChunkWireDelay(0, cumulative + 64);
-  PostToNode(src_logical, dst_node, marker_delay,
-             [this, dst_node, tenant, src_logical, dst_region, total_chunks, round, corrupt]() {
-               OnTransferMarker(dst_node, tenant, src_logical, dst_region, total_chunks, round,
-                                corrupt);
-             });
+  const sim::TimePs marker_delay = extra_delay + cluster_.WireDelay(cumulative + 64);
+  cluster_.Post(src_logical, dst_node, marker_delay,
+                [this, dst_node, tenant, src_logical, dst_region, total_chunks, round, corrupt]() {
+                  OnTransferMarker(dst_node, tenant, src_logical, dst_region, total_chunks, round,
+                                   corrupt);
+                });
 }
 
 void Fleet::OnChunk(uint32_t node, uint32_t tenant, uint32_t chunk_id,
                     std::vector<uint8_t> bytes) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  if (!cluster_.alive(node)) {
     return;
   }
-  node_guards_[node]->Write();
-  n.inbound[tenant].chunks[chunk_id] = std::move(bytes);
+  cluster_.node_guard(node).Write();
+  n.inbound[tenant][chunk_id] = std::move(bytes);
 }
 
 void Fleet::OnTransferMarker(uint32_t node, uint32_t tenant, uint32_t src_logical,
@@ -611,33 +544,30 @@ void Fleet::OnTransferMarker(uint32_t node, uint32_t tenant, uint32_t src_logica
                              uint64_t corrupt_entropy) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  if (!cluster_.alive(node)) {
     return;
   }
-  node_guards_[node]->Write();
-  NodeRt::Inbound& ib = n.inbound[tenant];
-  ib.src_logical = src_logical;
-  ib.region = dst_region;
-  ib.total = total_chunks;
+  cluster_.node_guard(node).Write();
+  auto& chunks = n.inbound[tenant];
 
   std::vector<uint32_t> missing;
   for (uint32_t i = 0; i < total_chunks; ++i) {
-    if (ib.chunks.find(i) == ib.chunks.end()) {
+    if (chunks.find(i) == chunks.end()) {
       missing.push_back(i);
     }
   }
   if (!missing.empty()) {
     const uint32_t next_round = round + 1;
-    PostToNode(node, src_logical, 0,
-               [this, src_logical, tenant, missing = std::move(missing), next_round]() mutable {
-                 OnResendRequest(src_logical, tenant, std::move(missing), next_round);
-               });
+    cluster_.Post(node, src_logical, 0,
+                  [this, src_logical, tenant, missing = std::move(missing), next_round]() mutable {
+                    OnResendRequest(src_logical, tenant, std::move(missing), next_round);
+                  });
     return;
   }
 
   std::vector<uint8_t> blob;
   for (uint32_t i = 0; i < total_chunks; ++i) {
-    auto& c = ib.chunks[i];
+    auto& c = chunks[i];
     blob.insert(blob.end(), c.begin(), c.end());
   }
   n.inbound.erase(tenant);
@@ -654,16 +584,16 @@ void Fleet::OnResendRequest(uint32_t src_logical, uint32_t tenant, std::vector<u
   if (round > config_.chunk_retry_max) {
     // Retransmit budget exhausted: the orchestrator rolls back (migration)
     // or sheds (evacuation — the source is already gone).
-    if (src_logical == orch_logical_) {
+    if (src_logical == cluster_.control()) {
       orch_->OnMigrationFailed(tenant, "evac.transfer");
     } else {
-      PostToOrch(src_logical, 0,
-                 [this, tenant]() { orch_->OnMigrationFailed(tenant, "transfer"); });
+      cluster_.Post(src_logical, cluster_.control(), 0,
+                    [this, tenant]() { orch_->OnMigrationFailed(tenant, "transfer"); });
     }
     return;
   }
   const sim::TimePs backoff = config_.chunk_retry_backoff * round;
-  if (src_logical == orch_logical_) {
+  if (src_logical == cluster_.control()) {
     // Evacuation replay: the orchestrator itself is the sender.
     auto it = orch_->ckpt_store_.find(tenant);
     auto bit = orch_->active_migration_.find(tenant);
@@ -673,26 +603,19 @@ void Fleet::OnResendRequest(uint32_t src_logical, uint32_t tenant, std::vector<u
     orch_->OnTransferRound(tenant, round);
     const MigrationRecord& rec = orch_->records_[bit->second];
     const int32_t region = orch_->health_.at(rec.dst_node).regions.FindTenant(tenant);
-    const uint32_t total = static_cast<uint32_t>(
-        (it->second.blob.size() + config_.chunk_bytes - 1) / config_.chunk_bytes);
-    SendChunks(orch_logical_, rec.dst_node, tenant, it->second.blob, missing, total, round,
-               region, backoff);
+    SendChunks(cluster_.control(), rec.dst_node, tenant, it->second.blob, missing, round, region,
+               backoff);
     return;
   }
-  NodeRt& n = *nodes_[src_logical];
-  if (!n.alive) {
-    return;  // the sweep handles a source that died mid-transfer
-  }
-  auto it = n.tenants.find(tenant);
-  if (it == n.tenants.end() || it->second->mig_blob.empty()) {
+  // A source that died mid-transfer is the sweep's to handle.
+  TenantRt* t = LiveTenant(src_logical, tenant);
+  if (t == nullptr || t->mig_blob.empty()) {
     return;
   }
-  node_guards_[src_logical]->Write();
-  TenantRt& t = *it->second;
-  PostToOrch(src_logical, 0, [this, tenant, round]() { orch_->OnTransferRound(tenant, round); });
-  const uint32_t total = static_cast<uint32_t>(
-      (t.mig_blob.size() + config_.chunk_bytes - 1) / config_.chunk_bytes);
-  SendChunks(src_logical, t.mig_dst, tenant, t.mig_blob, missing, total, round, t.mig_dst_region,
+  cluster_.node_guard(src_logical).Write();
+  cluster_.Post(src_logical, cluster_.control(), 0,
+                [this, tenant, round]() { orch_->OnTransferRound(tenant, round); });
+  SendChunks(src_logical, t->mig_dst, tenant, t->mig_blob, missing, round, t->mig_dst_region,
              backoff);
 }
 
@@ -703,120 +626,98 @@ void Fleet::TryRestore(uint32_t node, uint32_t tenant, uint32_t src_logical, int
   if (!probe.ok()) {
     // CRC/framing reject: request a full resend — counts against the same
     // retransmit budget as a lost chunk.
-    const uint32_t total = static_cast<uint32_t>(
-        (blob.size() + config_.chunk_bytes - 1) / config_.chunk_bytes);
-    std::vector<uint32_t> all(total);
-    for (uint32_t i = 0; i < total; ++i) {
-      all[i] = i;
-    }
+    std::vector<uint32_t> all = AllChunks(blob.size());
     const uint32_t next_round = round + 1;
-    PostToNode(node, src_logical, 0,
-               [this, src_logical, tenant, all = std::move(all), next_round]() mutable {
-                 OnResendRequest(src_logical, tenant, std::move(all), next_round);
-               });
+    cluster_.Post(node, src_logical, 0,
+                  [this, src_logical, tenant, all = std::move(all), next_round]() mutable {
+                    OnResendRequest(src_logical, tenant, std::move(all), next_round);
+                  });
     return;
   }
 
   // RESTORE: bounded attempts, each subject to injected restore faults.
   bool restored = false;
   for (uint32_t attempt = 0; attempt < config_.restore_attempts_max && !restored; ++attempt) {
-    PostToOrch(node, 0, [this, tenant]() { orch_->OnRestoreAttempt(tenant); });
+    cluster_.Post(node, cluster_.control(), 0,
+                  [this, tenant]() { orch_->OnRestoreAttempt(tenant); });
     if (n.injector->NextRestoreFail()) {
       continue;
     }
     restored = ApplyCheckpoint(node, dst_region, blob);
   }
   if (!restored) {
-    PostToOrch(node, 0, [this, tenant]() { orch_->OnMigrationFailed(tenant, "restore"); });
+    cluster_.Post(node, cluster_.control(), 0,
+                  [this, tenant]() { orch_->OnMigrationFailed(tenant, "restore"); });
     return;
   }
   // RESUME: charge deserialize-in at capture bandwidth before declaring the
   // tenant live (the first re-issued op is already queued behind it).
   const sim::TimePs restore_ps = sim::TransferTime(blob.size(), config_.capture_bps);
-  EngineAt(node).ScheduleAfter(restore_ps, [this, node, tenant]() {
-    if (!nodes_[node]->alive) {
+  cluster_.EngineAt(node).ScheduleAfter(restore_ps, [this, node, tenant]() {
+    if (!cluster_.alive(node)) {
       return;
     }
-    const sim::TimePs resumed = NowAt(node);
-    PostToOrch(node, 0, [this, tenant, resumed]() { orch_->OnMigrationDone(tenant, resumed); });
+    const sim::TimePs resumed = cluster_.NowAt(node);
+    cluster_.Post(node, cluster_.control(), 0,
+                  [this, tenant, resumed]() { orch_->OnMigrationDone(tenant, resumed); });
   });
 }
 
 void Fleet::ResumeAtSource(uint32_t node, uint32_t tenant) {
   sim::ActorScope actor(sim::kActorOrchestrator);
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  TenantRt* t = LiveTenant(node, tenant);
+  if (t == nullptr) {
     return;
   }
-  auto it = n.tenants.find(tenant);
-  if (it == n.tenants.end()) {
-    return;
-  }
-  node_guards_[node]->Write();
-  TenantRt& t = *it->second;
-  t.running = true;
+  cluster_.node_guard(node).Write();
+  t->running = true;
   bool reissued = false;
-  for (const auto& op : t.mig_pending) {
-    t.thread->Invoke(op.oper, op.sg);  // same node, original addresses
-    t.item_inflight = true;
+  for (const auto& op : t->mig_pending) {
+    t->thread->Invoke(op.oper, op.sg);  // same node, original addresses
+    t->item_inflight = true;
     reissued = true;
   }
-  t.mig_blob.clear();
-  t.mig_pending.clear();
+  t->mig_blob.clear();
+  t->mig_pending.clear();
   if (!reissued) {
     StartItem(node, tenant);
   }
-  const sim::TimePs resumed = NowAt(node);
-  PostToOrch(node, 0, [this, tenant, resumed]() { orch_->OnRollbackResumed(tenant, resumed); });
+  const sim::TimePs resumed = cluster_.NowAt(node);
+  cluster_.Post(node, cluster_.control(), 0,
+                [this, tenant, resumed]() { orch_->OnRollbackResumed(tenant, resumed); });
 }
 
 void Fleet::CleanupSource(uint32_t node, uint32_t tenant) {
   sim::ActorScope actor(sim::kActorOrchestrator);
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  TenantRt* t = LiveTenant(node, tenant);
+  if (t == nullptr) {
     return;
   }
-  auto it = n.tenants.find(tenant);
-  if (it == n.tenants.end()) {
-    return;
-  }
-  node_guards_[node]->Write();
-  TenantRt& t = *it->second;
-  if (t.src_vaddr != 0) {
-    t.thread->FreeMem(t.src_vaddr);  // unmap + TLB shootdown at the source
-    t.thread->FreeMem(t.dst_vaddr);
-    t.src_vaddr = t.dst_vaddr = 0;
-  }
-  if (t.region >= 0) {
-    n.region_tenant[t.region] = -1;
-  }
-  t.region = -1;
-  t.mig_blob.clear();
-  t.mig_pending.clear();
+  cluster_.node_guard(node).Write();
+  ReleaseTenant(*nodes_[node], *t);
+  t->mig_blob.clear();
+  t->mig_pending.clear();
 }
 
 void Fleet::AbandonInbound(uint32_t node, uint32_t tenant) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  if (!cluster_.alive(node)) {
     return;
   }
-  node_guards_[node]->Write();
+  cluster_.node_guard(node).Write();
   n.inbound.erase(tenant);
 }
 
 void Fleet::ShedTenant(uint32_t node, uint32_t tenant) {
   sim::ActorScope actor(sim::kActorOrchestrator);
+  TenantRt* tp = LiveTenant(node, tenant);
+  if (tp == nullptr) {
+    return;
+  }
+  cluster_.node_guard(node).Write();
   NodeRt& n = *nodes_[node];
-  if (!n.alive) {
-    return;
-  }
-  auto it = n.tenants.find(tenant);
-  if (it == n.tenants.end()) {
-    return;
-  }
-  node_guards_[node]->Write();
-  TenantRt& t = *it->second;
+  TenantRt& t = *tp;
   if (!t.running && t.region < 0) {
     // Retired (or already shed) before the command arrived; the tenant's own
     // OnTenantDone resolves any evacuation waiting on this region.
@@ -829,37 +730,10 @@ void Fleet::ShedTenant(uint32_t node, uint32_t tenant) {
   if (t.region >= 0) {
     n.dev->data_mover().AbortVfpga(static_cast<uint32_t>(t.region));
     n.dev->vfpga(static_cast<uint32_t>(t.region)).FlushStreams();
-    n.region_tenant[t.region] = -1;
   }
-  if (t.src_vaddr != 0) {
-    t.thread->FreeMem(t.src_vaddr);
-    t.thread->FreeMem(t.dst_vaddr);
-    t.src_vaddr = t.dst_vaddr = 0;
-  }
-  t.region = -1;
-  PostToOrch(node, 0, [this, tenant]() { orch_->OnTenantShed(tenant, "capacity"); });
-}
-
-void Fleet::KillNode(uint32_t node) {
-  sim::ActorScope actor(sim::kActorOrchestrator);
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
-    return;
-  }
-  node_guards_[node]->Write();
-  n.alive = false;
-  if (n.hb_timer != sim::TimerWheel::kInvalidTimer) {
-    n.dev->timers().Cancel(n.hb_timer);
-    n.hb_timer = sim::TimerWheel::kInvalidTimer;
-  }
-  if (n.ckpt_timer != sim::TimerWheel::kInvalidTimer) {
-    n.dev->timers().Cancel(n.ckpt_timer);
-    n.ckpt_timer = sim::TimerWheel::kInvalidTimer;
-  }
-  n.sup->Stop();
-  // Everything else decays passively: heartbeats stop, queued callbacks
-  // no-op on the alive check, and the orchestrator's sweep declares the
-  // death once the heartbeat window lapses.
+  ReleaseTenant(n, t);
+  cluster_.Post(node, cluster_.control(), 0,
+                [this, tenant]() { orch_->OnTenantShed(tenant, "capacity"); });
 }
 
 // ---------------------------------------------------------------------------
@@ -868,7 +742,9 @@ void Fleet::KillNode(uint32_t node) {
 
 Orchestrator::Orchestrator(Fleet* fleet)
     : fleet_(fleet),
-      timers_(&fleet->EngineAt(fleet->orch_logical_)) {
+      cluster_(fleet->cluster_),
+      liveness_(cluster_.num_nodes(), kDeadAfterMissed * fleet->config_.heartbeat_period,
+                [this](uint32_t node) { DeclareDead(node); }) {
   // The orchestrator's maps are touched from its own shard callbacks, from
   // host-side setup/observation, and (conceptually) alongside the engine /
   // DMA / supervisor actors whose completions feed it — all program-ordered
@@ -879,20 +755,18 @@ Orchestrator::Orchestrator(Fleet* fleet)
   ledger.DeclareOrdered(sim::kActorOrchestrator, sim::kActorEngine);
   ledger.DeclareOrdered(sim::kActorOrchestrator, sim::kActorDma);
   ledger.DeclareOrdered(sim::kActorOrchestrator, sim::kActorSupervisor);
-  const sim::ShardId shard = fleet_->shard_of_[fleet_->orch_logical_];
+  const sim::ShardId shard = cluster_.shard_of(cluster_.control());
+  liveness_.BindShard(shard);
   tenants_guard_.BindShard(shard);
   health_guard_.BindShard(shard);
   ckpt_guard_.BindShard(shard);
-  for (uint32_t n = 0; n < fleet_->config_.num_nodes; ++n) {
-    NodeHealth h;
-    h.regions.Reset(fleet_->config_.regions_per_node);
-    health_[n] = std::move(h);
+  for (uint32_t n = 0; n < cluster_.num_nodes(); ++n) {
+    health_[n].regions.Reset(fleet_->config_.regions_per_node);
   }
 }
 
 void Orchestrator::Trace(const std::string& line) {
-  const sim::TimePs now =
-      fleet_->NowAt(fleet_->orch_logical_);
+  const sim::TimePs now = cluster_.NowAt(cluster_.control());
   trace_.push_back("t=" + std::to_string(now) + " " + line);
 }
 
@@ -915,13 +789,9 @@ void Orchestrator::AdmitTenant(uint32_t tenant, const TenantSpec& spec, uint32_t
   book.node = node;
   book.region = region;
   tenants_[tenant] = std::move(book);
-  ReserveRegion(node, region, tenant);
+  health_[node].regions.Reserve(region, tenant);
   Trace("tenant=" + std::to_string(tenant) + " admit node=" + std::to_string(node) +
         " region=" + std::to_string(region) + " prio=" + std::to_string(spec.priority));
-}
-
-void Orchestrator::ReserveRegion(uint32_t node, int32_t region, uint32_t tenant) {
-  health_[node].regions.Reserve(region, tenant);
 }
 
 void Orchestrator::ReleaseRegion(uint32_t node, int32_t region) {
@@ -931,21 +801,12 @@ void Orchestrator::ReleaseRegion(uint32_t node, int32_t region) {
   }
 }
 
-void Orchestrator::OnHeartbeat(uint32_t node, uint64_t seq, sim::TimePs sent_at) {
+void Orchestrator::OnHeartbeat(uint32_t node) {
   sim::ActorScope actor(sim::kActorOrchestrator);
-  health_guard_.Write();
-  (void)sent_at;
-  NodeHealth& h = health_[node];
-  if (!h.believed_alive) {
-    return;  // a declared-dead node stays dead (no flapping)
-  }
-  h.last_heartbeat_at =
-      fleet_->NowAt(fleet_->orch_logical_);
-  h.heartbeats = seq;
+  liveness_.Beat(node, cluster_.NowAt(cluster_.control()));
 }
 
-void Orchestrator::OnCheckpoint(uint32_t tenant, std::vector<uint8_t> blob, uint64_t pages,
-                                sim::TimePs captured_at) {
+void Orchestrator::OnCheckpoint(uint32_t tenant, std::vector<uint8_t> blob, uint64_t pages) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   ckpt_guard_.Write();
   auto it = tenants_.find(tenant);
@@ -955,7 +816,6 @@ void Orchestrator::OnCheckpoint(uint32_t tenant, std::vector<uint8_t> blob, uint
   StoredCkpt& s = ckpt_store_[tenant];
   s.blob = std::move(blob);
   s.pages = pages;
-  s.captured_at = captured_at;
 }
 
 void Orchestrator::StartMigration(uint32_t tenant, uint32_t dst_node, const std::string& reason) {
@@ -976,26 +836,30 @@ void Orchestrator::StartMigration(uint32_t tenant, uint32_t dst_node, const std:
     return;
   }
   const int32_t region = dst.regions.FindFree();
-  ReserveRegion(dst_node, region, tenant);
-  book.migrating = true;
-
-  MigrationRecord rec;
-  rec.tenant = tenant;
-  rec.src_node = book.node;
-  rec.dst_node = dst_node;
-  rec.reason = reason;
-  rec.started_at =
-      fleet_->NowAt(fleet_->orch_logical_);
-  rec.outcome = "ok";
-  active_migration_[tenant] = records_.size();
-  records_.push_back(std::move(rec));
+  OpenMigration(tenant, dst_node, region, reason, "ok");
   Trace("tenant=" + std::to_string(tenant) + " migrate.start src=" +
         std::to_string(book.node) + " dst=" + std::to_string(dst_node) + " reason=" + reason);
 
   const uint32_t src = book.node;
-  fleet_->PostToNode(fleet_->orch_logical_, src, 0, [this, src, tenant, dst_node, region]() {
+  cluster_.Post(cluster_.control(), src, 0, [this, src, tenant, dst_node, region]() {
     fleet_->BeginMigration(src, tenant, dst_node, region);
   });
+}
+
+MigrationRecord& Orchestrator::OpenMigration(uint32_t tenant, uint32_t dst, int32_t region,
+                                             const std::string& reason, const char* outcome) {
+  TenantBook& book = tenants_[tenant];
+  health_[dst].regions.Reserve(region, tenant);
+  book.migrating = true;
+  active_migration_[tenant] = records_.size();
+  MigrationRecord& rec = records_.emplace_back();
+  rec.tenant = tenant;
+  rec.src_node = book.node;
+  rec.dst_node = dst;
+  rec.reason = reason;
+  rec.started_at = cluster_.NowAt(cluster_.control());
+  rec.outcome = outcome;
+  return rec;
 }
 
 MigrationRecord* Orchestrator::ActiveRecord(uint32_t tenant) {
@@ -1067,7 +931,7 @@ void Orchestrator::OnMigrationDone(uint32_t tenant, sim::TimePs resumed_at) {
   // drain); an evacuated tenant's source is gone.
   if (health_[old_node].believed_alive && old_node != book.node) {
     ReleaseRegion(old_node, old_region);
-    fleet_->PostToNode(fleet_->orch_logical_, old_node, 0, [this, old_node, tenant]() {
+    cluster_.Post(cluster_.control(), old_node, 0, [this, old_node, tenant]() {
       fleet_->CleanupSource(old_node, tenant);
     });
   }
@@ -1105,8 +969,8 @@ void Orchestrator::OnMigrationFailed(uint32_t tenant, const std::string& why) {
     rec->outcome = "rollback." + why;
     ++rollbacks_;
     const uint32_t src = book.node;
-    fleet_->PostToNode(fleet_->orch_logical_, src, 0,
-                       [this, src, tenant]() { fleet_->ResumeAtSource(src, tenant); });
+    cluster_.Post(cluster_.control(), src, 0,
+                  [this, src, tenant]() { fleet_->ResumeAtSource(src, tenant); });
     return;
   }
   // Evacuation failed and there is no source to roll back to: degrade.
@@ -1133,30 +997,14 @@ void Orchestrator::OnRollbackResumed(uint32_t tenant, sim::TimePs resumed_at) {
 }
 
 void Orchestrator::OnTenantDone(uint32_t tenant) {
-  sim::ActorScope actor(sim::kActorOrchestrator);
-  tenants_guard_.Write();
-  health_guard_.Write();
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || it->second.outcome != TenantOutcome::kRunning) {
-    return;
-  }
-  TenantBook& book = it->second;
-  book.outcome = TenantOutcome::kDone;
-  ReleaseRegion(book.node, book.region);
-  book.region = -1;
-  Trace("tenant=" + std::to_string(tenant) + " done");
-  // An evacuation may have been waiting on this tenant's region (it was
-  // picked as a shed victim but finished first) — its region is free now.
-  auto pit = pending_evacuations_.find(tenant);
-  if (pit != pending_evacuations_.end()) {
-    const uint32_t evacuee = pit->second;
-    pending_evacuations_.erase(pit);
-    EvacuateTenant(evacuee, "node.dead");
-  }
-  CheckSettled();
+  SettleTenant(tenant, TenantOutcome::kDone, "done");
 }
 
 void Orchestrator::OnTenantShed(uint32_t tenant, const std::string& why) {
+  SettleTenant(tenant, TenantOutcome::kShed, "shed why=" + why);
+}
+
+void Orchestrator::SettleTenant(uint32_t tenant, TenantOutcome outcome, const std::string& what) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   tenants_guard_.Write();
   health_guard_.Write();
@@ -1165,12 +1013,13 @@ void Orchestrator::OnTenantShed(uint32_t tenant, const std::string& why) {
     return;
   }
   TenantBook& book = it->second;
-  book.outcome = TenantOutcome::kShed;
-  ++sheds_;
+  book.outcome = outcome;
+  sheds_ += outcome == TenantOutcome::kShed ? 1 : 0;
   ReleaseRegion(book.node, book.region);
   book.region = -1;
-  Trace("tenant=" + std::to_string(tenant) + " shed why=" + why);
-  // A pending evacuation was waiting for this region.
+  Trace("tenant=" + std::to_string(tenant) + " " + what);
+  // An evacuation may have been waiting on this tenant's region (it was
+  // picked as a shed victim, and was shed or finished first) — it is free now.
   auto pit = pending_evacuations_.find(tenant);
   if (pit != pending_evacuations_.end()) {
     const uint32_t evacuee = pit->second;
@@ -1183,15 +1032,7 @@ void Orchestrator::OnTenantShed(uint32_t tenant, const std::string& why) {
 void Orchestrator::Sweep() {
   sim::ActorScope actor(sim::kActorOrchestrator);
   health_guard_.Write();
-  const sim::TimePs now =
-      fleet_->NowAt(fleet_->orch_logical_);
-  const sim::TimePs window =
-      fleet_->config_.dead_after_missed * fleet_->config_.heartbeat_period;
-  for (auto& [node, h] : health_) {
-    if (h.believed_alive && now - h.last_heartbeat_at > window) {
-      DeclareDead(node);
-    }
-  }
+  liveness_.Sweep(cluster_.NowAt(cluster_.control()));
 }
 
 void Orchestrator::DeclareDead(uint32_t node) {
@@ -1236,8 +1077,8 @@ void Orchestrator::DeclareDead(uint32_t node) {
         active_migration_.erase(id);
         const uint32_t src = rec->src_node;
         Trace("tenant=" + std::to_string(id) + " rollback.dst_dead");
-        fleet_->PostToNode(fleet_->orch_logical_, src, 0,
-                           [this, src, id]() { fleet_->ResumeAtSource(src, id); });
+        cluster_.Post(cluster_.control(), src, 0,
+                      [this, src, id]() { fleet_->ResumeAtSource(src, id); });
         continue;
       }
       if (rec != nullptr && rec->src_node == node) {
@@ -1254,8 +1095,8 @@ void Orchestrator::DeclareDead(uint32_t node) {
           if (reserved >= 0) {
             ReleaseRegion(dst, reserved);
           }
-          fleet_->PostToNode(fleet_->orch_logical_, dst, 0,
-                             [this, dst, id]() { fleet_->AbandonInbound(dst, id); });
+          cluster_.Post(cluster_.control(), dst, 0,
+                        [this, dst, id]() { fleet_->AbandonInbound(dst, id); });
         }
         EvacuateTenant(id, "node.dead");
         continue;
@@ -1331,7 +1172,7 @@ void Orchestrator::EvacuateTenant(uint32_t tenant, const std::string& reason) {
       const uint32_t victim_node = tenants_[victim].node;
       Trace("tenant=" + std::to_string(victim) + " shed.request evacuee=" +
             std::to_string(tenant));
-      fleet_->PostToNode(fleet_->orch_logical_, victim_node, 0, [this, victim_node, victim]() {
+      cluster_.Post(cluster_.control(), victim_node, 0, [this, victim_node, victim]() {
         fleet_->ShedTenant(victim_node, victim);
       });
       return;
@@ -1344,55 +1185,34 @@ void Orchestrator::EvacuateTenant(uint32_t tenant, const std::string& reason) {
     return;
   }
 
-  ReserveRegion(dst, region, tenant);
-  book.migrating = true;
   ++evacuations_;
-
-  MigrationRecord rec;
-  rec.tenant = tenant;
-  rec.src_node = book.node;
-  rec.dst_node = dst;
-  rec.reason = reason;
-  const sim::TimePs now =
-      fleet_->NowAt(fleet_->orch_logical_);
-  rec.started_at = now;
-  rec.quiesced_at = now;  // downtime for an evacuation runs from detection
-
   auto cit = ckpt_store_.find(tenant);
-  if (cit != ckpt_store_.end()) {
-    rec.outcome = "evacuated";
+  const bool replay = cit != ckpt_store_.end();
+  MigrationRecord& rec =
+      OpenMigration(tenant, dst, region, reason, replay ? "evacuated" : "evacuated.fresh");
+  rec.quiesced_at = rec.started_at;  // downtime for an evacuation runs from detection
+  if (replay) {
     rec.ckpt_bytes = cit->second.blob.size();
     rec.ckpt_pages = cit->second.pages;
-    const uint32_t chunks = static_cast<uint32_t>(
-        (cit->second.blob.size() + fleet_->config_.chunk_bytes - 1) /
-        fleet_->config_.chunk_bytes);
-    rec.chunks = chunks;
-    active_migration_[tenant] = records_.size();
-    records_.push_back(std::move(rec));
+    rec.chunks = fleet_->ChunkCount(cit->second.blob.size());
     Trace("tenant=" + std::to_string(tenant) + " evacuate dst=" + std::to_string(dst) +
           " region=" + std::to_string(region) + " bytes=" +
           std::to_string(cit->second.blob.size()));
-    std::vector<uint32_t> ids(chunks);
-    for (uint32_t i = 0; i < chunks; ++i) {
-      ids[i] = i;
-    }
-    fleet_->SendChunks(fleet_->orch_logical_, dst, tenant, cit->second.blob, ids, chunks,
-                       /*round=*/0, region, /*extra_delay=*/0);
+    fleet_->SendChunks(cluster_.control(), dst, tenant, cit->second.blob,
+                       fleet_->AllChunks(cit->second.blob.size()), /*round=*/0, region,
+                       /*extra_delay=*/0);
     return;
   }
 
   // No checkpoint yet: restart from scratch on the survivor.
-  rec.outcome = "evacuated.fresh";
-  active_migration_[tenant] = records_.size();
-  records_.push_back(std::move(rec));
   Trace("tenant=" + std::to_string(tenant) + " evacuate.fresh dst=" + std::to_string(dst) +
         " region=" + std::to_string(region));
   const TenantSpec spec = book.spec;
-  fleet_->PostToNode(fleet_->orch_logical_, dst, 0, [this, dst, tenant, spec, region]() {
+  cluster_.Post(cluster_.control(), dst, 0, [this, dst, tenant, spec, region]() {
     fleet_->StartTenantFresh(dst, tenant, spec, region);
-    const sim::TimePs resumed = fleet_->NowAt(dst);
-    fleet_->PostToOrch(dst, 0,
-                       [this, tenant, resumed]() { OnMigrationDone(tenant, resumed); });
+    const sim::TimePs resumed = cluster_.NowAt(dst);
+    cluster_.Post(dst, cluster_.control(), 0,
+                  [this, tenant, resumed]() { OnMigrationDone(tenant, resumed); });
   });
 }
 
@@ -1407,7 +1227,7 @@ void Orchestrator::CheckSettled() {
     }
   }
   settled_ = true;
-  settled_at_ = fleet_->NowAt(fleet_->orch_logical_);
+  settled_at_ = cluster_.NowAt(cluster_.control());
   Trace("settled");
 }
 

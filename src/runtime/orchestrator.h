@@ -6,17 +6,15 @@
 // loop one level up, across nodes — the role the paper assigns to the data
 // center control plane sitting on the shell's monitoring registers:
 //
-//   Fleet         — the deployment harness. N SimDevice nodes partitioned
-//                   over a sharded PDES engine (one logical node per
-//                   ShardPlacement slot, the Orchestrator occupying logical
-//                   node id N), event-driven tenant workloads, per-node
-//                   fault injectors and supervisors, and deterministic
-//                   node-kill scheduling. Every cross-node interaction is a
-//                   ShardedEngine::Post keyed by the sending logical node,
-//                   so a fleet run is bit-identical across shard counts.
-//   Orchestrator  — the control plane. Scores node health from periodic
-//                   heartbeats, stores each tenant's periodic checkpoint,
-//                   and drives the migration pipeline:
+//   Fleet         — the deployment: a Cluster (src/runtime/cluster.h;
+//                   placement, Post, wire delay, heartbeats, kills, the
+//                   settle loop) whose N nodes each run a SimDevice with a
+//                   fault injector, a supervisor and event-driven tenant
+//                   workloads, with the Orchestrator on the control node.
+//                   Heartbeats are unframed posts at lookahead.
+//   Orchestrator  — the control plane. Declares node deaths through its
+//                   LivenessDetector, stores each tenant's periodic
+//                   checkpoint, and drives the migration pipeline:
 //
 //       quiesce -> checkpoint -> transfer (chunked, RoCE-latency modeled,
 //       lossy) -> restore -> resume
@@ -45,6 +43,7 @@
 #include <vector>
 
 #include "src/net/network.h"
+#include "src/runtime/cluster.h"
 #include "src/runtime/cthread.h"
 #include "src/runtime/device.h"
 #include "src/runtime/placement.h"
@@ -120,8 +119,6 @@ class Fleet {
     // Control-plane cadence.
     sim::TimePs heartbeat_period = sim::Microseconds(50);
     sim::TimePs sweep_period = sim::Microseconds(100);
-    // Heartbeats a node may miss before the sweep declares it dead.
-    uint32_t dead_after_missed = 4;
     // Periodic tenant checkpoint cadence (0 disables periodic checkpoints;
     // a dead node's tenants then restart from scratch).
     sim::TimePs checkpoint_period = sim::Microseconds(300);
@@ -158,7 +155,7 @@ class Fleet {
   void ScheduleMigration(sim::TimePs t, uint32_t tenant, uint32_t dst_node);
   // Schedules a hard node crash at simulated time t: timers stop, heartbeats
   // go silent, every callback on the node becomes a no-op.
-  void ScheduleKill(sim::TimePs t, uint32_t node);
+  void ScheduleKill(sim::TimePs t, uint32_t node) { cluster_.ScheduleKill(t, node); }
 
   // Runs the fleet in fixed `step` windows until every tenant settled (done
   // or shed) or `horizon` elapses. Returns true when settled.
@@ -167,13 +164,10 @@ class Fleet {
   // --- Observation (host-side, after Run) --------------------------------------
   Orchestrator& orchestrator() { return *orch_; }
   const Orchestrator& orchestrator() const { return *orch_; }
-  sim::ShardedEngine& sharded() { return *sharded_; }
+  sim::ShardedEngine& sharded() { return cluster_.sharded(); }
   SimDevice& node_device(uint32_t node) { return *nodes_[node]->dev; }
-  Supervisor& node_supervisor(uint32_t node) { return *nodes_[node]->sup; }
-  sim::FaultInjector& node_injector(uint32_t node) { return *nodes_[node]->injector; }
-  sim::FaultInjector& orch_injector() { return *orch_injector_; }
   uint32_t num_nodes() const { return config_.num_nodes; }
-  bool node_alive(uint32_t node) const { return nodes_[node]->alive; }
+  bool node_alive(uint32_t node) const { return cluster_.alive(node); }
 
   TenantOutcome tenant_outcome(uint32_t tenant) const;
   // Rolling FNV-1a over every item the tenant verified end-to-end; carried
@@ -193,7 +187,6 @@ class Fleet {
   struct TenantRt {
     uint32_t id = 0;
     TenantSpec spec;
-    uint32_t node = 0;
     int32_t region = -1;
     std::unique_ptr<CThread> thread;
     uint64_t src_vaddr = 0;
@@ -201,8 +194,6 @@ class Fleet {
     uint64_t items_done = 0;
     uint64_t retries = 0;
     uint64_t data_hash = 0xcbf29ce484222325ull;
-    // Dirty clock at the previous checkpoint (incremental-manifest stats).
-    uint64_t last_ckpt_clock = 0;
     bool running = false;  // false: quiesced / retired / shed
     // Exactly one item op in flight at a time. Guards against a stale
     // think-time timer firing right after a rollback resumed the tenant,
@@ -216,46 +207,43 @@ class Fleet {
     std::vector<CThread::PendingOp> mig_pending;
     uint32_t mig_dst = 0;
     int32_t mig_dst_region = -1;
-    sim::TimePs mig_quiesced_at = 0;
   };
 
   struct NodeRt {
-    uint32_t id = 0;
-    bool alive = true;
     std::unique_ptr<SimDevice> dev;
     std::unique_ptr<Supervisor> sup;
     std::unique_ptr<sim::FaultInjector> injector;
-    sim::TimerWheel::TimerId hb_timer = sim::TimerWheel::kInvalidTimer;
     sim::TimerWheel::TimerId ckpt_timer = sim::TimerWheel::kInvalidTimer;
-    uint64_t hb_seq = 0;
     // region -> resident tenant id (-1 free). Orchestrator placement is
     // authoritative; this is the node-local execution view.
     std::vector<int32_t> region_tenant;
     // tenant id -> runtime (including retired entries).
     std::map<uint32_t, std::unique_ptr<TenantRt>> tenants;
-    // In-progress inbound checkpoint transfer, keyed by tenant. The marker
-    // message (re)stamps the metadata every round; chunks accumulate across
-    // retransmit rounds.
-    struct Inbound {
-      std::map<uint32_t, std::vector<uint8_t>> chunks;
-      uint32_t src_logical = 0;
-      int32_t region = -1;
-      uint32_t total = 0;
-    };
-    std::map<uint32_t, Inbound> inbound;
+    // In-progress inbound checkpoint transfer: tenant -> chunk id -> bytes.
+    // Chunks accumulate across retransmit rounds.
+    std::map<uint32_t, std::map<uint32_t, std::vector<uint8_t>>> inbound;
   };
 
   // --- Node-side handlers (shard context of the node) ---------------------------
+  // A runtime for `tenant` on (node, region): a cThread with both item
+  // buffers allocated and its completions routed to OnItemComplete.
+  std::unique_ptr<TenantRt> NewTenantRt(uint32_t node, uint32_t tenant, const TenantSpec& spec,
+                                        int32_t region);
+  // `tenant`'s runtime on `node`; null when the node is dead or lacks it.
+  TenantRt* LiveTenant(uint32_t node, uint32_t tenant);
+  // Frees the tenant's buffers and its node-local region slot.
+  void ReleaseTenant(NodeRt& n, TenantRt& t);
   void StartTenantFresh(uint32_t node, uint32_t tenant, const TenantSpec& spec, int32_t region);
   void StartItem(uint32_t node, uint32_t tenant);
   void OnItemComplete(uint32_t node, uint32_t tenant, CThread::Task task, OpStatus status);
-  void HeartbeatTick(uint32_t node);
   void CheckpointTick(uint32_t node);
   void BeginMigration(uint32_t node, uint32_t tenant, uint32_t dst_node, int32_t dst_region);
+  // Ships `chunk_ids` of `blob`, then the round's marker.
   void SendChunks(uint32_t src_logical, uint32_t dst_node, uint32_t tenant,
                   const std::vector<uint8_t>& blob, const std::vector<uint32_t>& chunk_ids,
-                  uint32_t total_chunks, uint32_t round, int32_t dst_region,
-                  sim::TimePs extra_delay);
+                  uint32_t round, int32_t dst_region, sim::TimePs extra_delay);
+  uint32_t ChunkCount(uint64_t blob_bytes) const;
+  std::vector<uint32_t> AllChunks(uint64_t blob_bytes) const;  // 0 .. ChunkCount-1
   void OnChunk(uint32_t node, uint32_t tenant, uint32_t chunk_id, std::vector<uint8_t> bytes);
   void OnTransferMarker(uint32_t node, uint32_t tenant, uint32_t src_logical, int32_t dst_region,
                         uint32_t total_chunks, uint32_t round, uint64_t corrupt_entropy);
@@ -267,7 +255,6 @@ class Fleet {
   void CleanupSource(uint32_t node, uint32_t tenant);
   void AbandonInbound(uint32_t node, uint32_t tenant);
   void ShedTenant(uint32_t node, uint32_t tenant);
-  void KillNode(uint32_t node);
 
   // Serializes a tenant's full state (progress, region snapshot, pending
   // ops, dirty pages) into a CYK1 blob. `pending` comes from SnapshotPending
@@ -279,31 +266,15 @@ class Fleet {
   // false when the blob fails validation or the region state mismatches.
   bool ApplyCheckpoint(uint32_t node, int32_t region, const std::vector<uint8_t>& blob);
 
-  // Cross-node message: runs `cb` in `dst_node`'s shard context no earlier
-  // than now + max(delay, lookahead), merge-keyed by the sending node.
-  void PostToNode(uint32_t src_logical, uint32_t dst_node, sim::TimePs delay,
-                  sim::InlineCallback cb);
-  void PostToOrch(uint32_t src_logical, sim::TimePs delay, sim::InlineCallback cb);
-  sim::TimePs ChunkWireDelay(uint32_t chunk_index, uint64_t bytes) const;
-  // `logical`'s own engine / local clock. Callers always pass their *own*
-  // logical node id — reaching another node's engine is what PostToNode is
-  // for, and the access guards trip on any cross-shard touch.
-  sim::Engine& EngineAt(uint32_t logical);
-  sim::TimePs NowAt(uint32_t logical);
-
   Config config_;
-  std::unique_ptr<sim::ShardedEngine> sharded_;
-  std::vector<uint32_t> shard_of_;  // logical node (incl. orchestrator) -> shard
-  uint32_t orch_logical_ = 0;       // == num_nodes
+  // Node-side tenant/region tables are shard-owned: the cluster's per-node
+  // guard is bound to the node's shard so a stray cross-shard touch trips
+  // the ledger.
+  Cluster cluster_;
   std::vector<std::unique_ptr<NodeRt>> nodes_;
   std::unique_ptr<sim::FaultInjector> orch_injector_;
   std::unique_ptr<Orchestrator> orch_;
   uint32_t next_tenant_ = 0;
-  bool started_ = false;
-
-  // Node-side tenant/region tables are shard-owned: each node's guard is
-  // bound to its shard so a stray cross-shard touch trips the ledger.
-  std::vector<std::unique_ptr<sim::AccessGuard>> node_guards_;
 };
 
 // The control plane. Lives on logical node `num_nodes` (its own shard slot);
@@ -312,8 +283,6 @@ class Orchestrator {
  public:
   struct NodeHealth {
     bool believed_alive = true;
-    sim::TimePs last_heartbeat_at = 0;
-    uint64_t heartbeats = 0;
     // Orchestrator-authoritative placement books (src/runtime/placement.h).
     // Reservations happen here before the destination node hears anything,
     // so two migrations can never race for one region.
@@ -332,9 +301,8 @@ class Orchestrator {
   explicit Orchestrator(Fleet* fleet);
 
   // --- Control-plane events (shard context) ------------------------------------
-  void OnHeartbeat(uint32_t node, uint64_t seq, sim::TimePs sent_at);
-  void OnCheckpoint(uint32_t tenant, std::vector<uint8_t> blob, uint64_t pages,
-                    sim::TimePs captured_at);
+  void OnHeartbeat(uint32_t node);
+  void OnCheckpoint(uint32_t tenant, std::vector<uint8_t> blob, uint64_t pages);
   void StartMigration(uint32_t tenant, uint32_t dst_node, const std::string& reason);
   void OnMigrationQuiesced(uint32_t tenant, sim::TimePs quiesced_at, uint64_t ckpt_bytes,
                            uint64_t ckpt_pages, uint32_t chunks);
@@ -366,16 +334,23 @@ class Orchestrator {
  private:
   friend class Fleet;
 
+  // Heartbeats a node may miss before the sweep declares it dead.
+  static constexpr uint32_t kDeadAfterMissed = 4;
+
   struct StoredCkpt {
     std::vector<uint8_t> blob;
     uint64_t pages = 0;
-    sim::TimePs captured_at = 0;
   };
 
   void AdmitTenant(uint32_t tenant, const TenantSpec& spec, uint32_t node, int32_t region);
   void DeclareDead(uint32_t node);
   void EvacuateTenant(uint32_t tenant, const std::string& reason);
-  void ReserveRegion(uint32_t node, int32_t region, uint32_t tenant);
+  // Reserves (dst, region) for a migrating tenant and opens its active record.
+  MigrationRecord& OpenMigration(uint32_t tenant, uint32_t dst, int32_t region,
+                                 const std::string& reason, const char* outcome);
+  // Marks a running tenant done or shed, frees its region, resumes an
+  // evacuation waiting on that region, and traces `what`.
+  void SettleTenant(uint32_t tenant, TenantOutcome outcome, const std::string& what);
   void ReleaseRegion(uint32_t node, int32_t region);
   // Lowest-priority running tenant strictly below `below` (ties: highest
   // id). Returns false when none qualifies.
@@ -386,7 +361,8 @@ class Orchestrator {
   void CheckSettled();
 
   Fleet* fleet_;
-  sim::TimerWheel timers_;
+  Cluster& cluster_;
+  LivenessDetector liveness_;
 
   std::map<uint32_t, TenantBook> tenants_;
   std::map<uint32_t, NodeHealth> health_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/net/rpc.h"
-
 namespace coyote {
 namespace runtime {
 
@@ -13,7 +11,10 @@ namespace runtime {
 // ---------------------------------------------------------------------------
 
 Router::Router(sim::Engine* engine, const Config& config)
-    : engine_(engine), config_(config) {
+    : engine_(engine),
+      config_(config),
+      liveness_(config.num_nodes, config.heartbeat_window,
+                [this](uint32_t node) { OnNodeDead(node); }) {
   nodes_.resize(config_.num_nodes);
   tokens_ = config_.bucket_burst;
 }
@@ -41,15 +42,8 @@ const char* Router::StatusKey(OpStatus status) {
 
 serving::ServingCompletion Router::LocalCompletion(const serving::ServingRequest& req,
                                                    OpStatus status) const {
-  serving::ServingCompletion c;
-  c.id = req.id;
-  c.tenant = req.tenant;
-  c.status = status;
-  c.node = config_.num_nodes;  // the router's own logical id
-  c.region = -1;
-  c.submitted_at = req.submitted_at;
-  c.completed_at = engine_->Now();
-  return c;
+  // Stamped with the router's own logical id.
+  return serving::CompletionFor(req, status, config_.num_nodes, -1, engine_->Now());
 }
 
 void Router::Complete(const serving::ServingCompletion& c) {
@@ -59,18 +53,12 @@ void Router::Complete(const serving::ServingCompletion& c) {
     latency_us_.Add(static_cast<double>(c.completed_at - c.submitted_at) * 1e-6);
   }
   // Fold the completion into the determinism witness, in delivery order.
-  auto mix = [this](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      fp_ ^= (v >> (8 * i)) & 0xff;
-      fp_ *= serving::kFnvPrime;
-    }
-  };
-  mix(c.id);
-  mix(c.tenant);
-  mix(static_cast<uint64_t>(c.status));
-  mix((static_cast<uint64_t>(c.node) << 32) ^ static_cast<uint32_t>(c.region));
-  mix(c.completed_at);
-  mix(c.response_hash);
+  serving::FoldU64(&fp_, c.id);
+  serving::FoldU64(&fp_, c.tenant);
+  serving::FoldU64(&fp_, static_cast<uint64_t>(c.status));
+  serving::FoldU64(&fp_, (static_cast<uint64_t>(c.node) << 32) ^ static_cast<uint32_t>(c.region));
+  serving::FoldU64(&fp_, c.completed_at);
+  serving::FoldU64(&fp_, c.response_hash);
   if (observer_) {
     observer_(c);
   }
@@ -133,7 +121,7 @@ int32_t Router::RouteOf(const serving::ServingRequest& req) const {
   bool any_resident = false;
   for (uint32_t n = 0; n < nodes_.size(); ++n) {
     const NodeView& v = nodes_[n];
-    if (!v.alive || RegionHintOn(n, req.kernel) < 0) {
+    if (!liveness_.alive(n) || RegionHintOn(n, req.kernel) < 0) {
       continue;
     }
     any_resident = true;
@@ -283,35 +271,9 @@ void Router::OnCompletion(const serving::ServingCompletion& c) {
   KickDispatch();
 }
 
-void Router::OnHeartbeat(uint32_t node, uint64_t seq) {
+void Router::OnNodeDead(uint32_t node) {
   guard_.Write();
-  NodeView& v = nodes_.at(node);
-  if (!v.alive) {
-    return;  // no resurrection: a declared death sticks for the run
-  }
-  v.last_heartbeat = engine_->Now();
-  v.heartbeats = seq;
-}
-
-void Router::Sweep() {
-  guard_.Write();
-  const sim::TimePs now = engine_->Now();
-  for (uint32_t n = 0; n < nodes_.size(); ++n) {
-    const NodeView& v = nodes_[n];
-    if (v.alive && now > config_.heartbeat_window &&
-        now - v.last_heartbeat > config_.heartbeat_window) {
-      MarkNodeDead(n);
-    }
-  }
-}
-
-void Router::MarkNodeDead(uint32_t node) {
   NodeView& v = nodes_[node];
-  if (!v.alive) {
-    return;
-  }
-  guard_.Write();
-  v.alive = false;
   counters_.Increment("router.node_dead");
   // Evacuate: the unflushed open batch plus everything in flight there.
   std::vector<serving::ServingRequest> orphans = std::move(v.open_batch);
@@ -365,17 +327,11 @@ bool Router::Settled() const {
 
 uint64_t Router::Fingerprint() const {
   uint64_t h = fp_;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= serving::kFnvPrime;
-    }
-  };
-  mix(counters_.Fingerprint());
-  mix(completions_);
-  mix(latency_us_.count());
-  mix(depth_hist_.Fingerprint());
-  mix(batch_hist_.Fingerprint());
+  serving::FoldU64(&h, counters_.Fingerprint());
+  serving::FoldU64(&h, completions_);
+  serving::FoldU64(&h, latency_us_.count());
+  serving::FoldU64(&h, depth_hist_.Fingerprint());
+  serving::FoldU64(&h, batch_hist_.Fingerprint());
   return h;
 }
 
@@ -383,29 +339,10 @@ uint64_t Router::Fingerprint() const {
 // ServingFabric
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// One independent stream per logical node, stable across placements (the
-// same derivation Fleet uses).
-uint64_t NodeSeed(uint64_t fabric_seed, uint32_t logical_node) {
-  return fabric_seed ^ (0x9E3779B97F4A7C15ull * (logical_node + 1));
-}
-
-}  // namespace
-
-ServingFabric::ServingFabric(const Config& config) : config_(config) {
-  router_logical_ = config_.num_nodes;
-  shard_of_ = ShardPlacement::RoundRobin(config_.num_nodes + 1, config_.num_shards);
-
-  // Same conservative lookahead as Fleet: the minimum cross-node traversal
-  // of the modeled fabric.
-  sim::ShardedEngine::Config ec;
-  ec.num_shards = config_.num_shards;
-  ec.lookahead =
-      config_.net.switch_latency + 2 * sim::TransferTime(64, config_.net.link_bps);
-  ec.use_threads = config_.use_threads;
-  sharded_ = std::make_unique<sim::ShardedEngine>(ec);
-
+ServingFabric::ServingFabric(const Config& config)
+    : config_(config),
+      cluster_("serving", config.num_nodes, config.num_shards, config.use_threads, config.seed,
+               config.net) {
   // Node-side state is written by the scheduler dispatch path, the DMA
   // completion path, and generic engine callbacks (frames, storms) — all
   // program-ordered by the single-engine-per-shard contract. Declare the
@@ -420,21 +357,19 @@ ServingFabric::ServingFabric(const Config& config) : config_(config) {
   nodes_.reserve(config_.num_nodes);
   for (uint32_t n = 0; n < config_.num_nodes; ++n) {
     auto node = std::make_unique<NodeRt>();
-    node->id = n;
-
     SimDevice::Config dc;
     dc.shell.name = "serving-node";
     dc.shell.services = {fabric::Service::kHostStream, fabric::Service::kCardMemory};
     dc.shell.num_vfpgas = config_.regions_per_node;
     dc.ip = 0x0A010001u + n;
-    node->dev = std::make_unique<SimDevice>(dc, nullptr, &EngineAt(n));
+    node->dev = std::make_unique<SimDevice>(dc, nullptr, &cluster_.EngineAt(n));
 
     // Preload every region's kernel host-side (reconfiguration nests an
     // engine run and must never happen inside a shard callback) and tell the
     // scheduler what is resident; the serving tier then runs
     // require_resident end to end.
     node->sched = std::make_unique<KernelScheduler>(node->dev.get(), config_.policy);
-    node->sched->BindShard(shard_of_[n]);
+    node->sched->BindShard(cluster_.shard_of(n));
     node->region_kernel.resize(config_.regions_per_node);
     for (uint32_t r = 0; r < config_.regions_per_node; ++r) {
       const std::string& kernel =
@@ -463,17 +398,14 @@ ServingFabric::ServingFabric(const Config& config) : config_(config) {
             OnExecDone(n, r, task, status);
           });
     }
-
     nodes_.push_back(std::move(node));
-    auto guard = std::make_unique<sim::AccessGuard>("serving.node" + std::to_string(n));
-    guard->BindShard(shard_of_[n]);
-    node_guards_.push_back(std::move(guard));
   }
 
+  const uint32_t control = cluster_.control();
   Router::Config rc = config_.router;
   rc.num_nodes = config_.num_nodes;
-  router_ = std::make_unique<Router>(&EngineAt(router_logical_), rc);
-  router_->BindShard(shard_of_[router_logical_]);
+  router_ = std::make_unique<Router>(&cluster_.EngineAt(control), rc);
+  router_->BindShard(cluster_.shard_of(control));
   for (uint32_t n = 0; n < config_.num_nodes; ++n) {
     router_->SetNodeResident(n, nodes_[n]->region_kernel);
   }
@@ -482,78 +414,46 @@ ServingFabric::ServingFabric(const Config& config) : config_(config) {
   });
 
   LoadGen::Config lc = config_.loadgen;
-  lc.seed = NodeSeed(config_.seed, router_logical_);
+  lc.seed = cluster_.NodeSeed(control);
   if (lc.kernels.empty()) {
     lc.kernels = config_.kernel_names;
   }
   loadgen_ = std::make_unique<LoadGen>(
-      &EngineAt(router_logical_), lc,
+      &cluster_.EngineAt(control), lc,
       [this](serving::ServingRequest req) { router_->Submit(std::move(req)); });
-  loadgen_->BindShard(shard_of_[router_logical_]);
-
-  router_timers_ = std::make_unique<sim::TimerWheel>(&EngineAt(router_logical_));
+  loadgen_->BindShard(cluster_.shard_of(control));
 }
 
 ServingFabric::~ServingFabric() = default;
 
-sim::Engine& ServingFabric::EngineAt(uint32_t logical) {
-  return sharded_->shard(shard_of_[logical]);  // lint: cross-shard-ok own-shard accessor, callers pass their own logical node; cross-node traffic goes through Post
-}
-
-sim::TimePs ServingFabric::NowAt(uint32_t logical) { return EngineAt(logical).Now(); }
-
-void ServingFabric::PostToNode(uint32_t src_logical, uint32_t dst_logical,
-                               sim::TimePs delay, sim::InlineCallback cb) {
-  const sim::TimePs now = NowAt(src_logical);
-  const sim::TimePs wire = std::max(delay, sharded_->lookahead());
-  sharded_->Post(shard_of_[dst_logical], now + wire, std::move(cb),
-                 /*order_key=*/src_logical);
-}
-
-sim::TimePs ServingFabric::WireDelay(uint64_t bytes) const {
-  return config_.net.switch_latency + sim::TransferTime(bytes, config_.net.link_bps);
-}
-
 bool ServingFabric::Run(sim::TimePs horizon, sim::TimePs step) {
-  if (!started_) {
-    started_ = true;
-    for (auto& node : nodes_) {
-      const uint32_t id = node->id;
-      node->hb_timer = node->dev->timers().SchedulePeriodic(
-          config_.heartbeat_period, [this, id]() { HeartbeatTick(id); });
-    }
-    router_timers_->SchedulePeriodic(config_.sweep_period,
-                                     [this]() { router_->Sweep(); });
+  if (cluster_.Start(
+          config_.heartbeat_period,
+          [this](uint32_t node, uint64_t seq) { SendHeartbeat(node, seq); },
+          config_.sweep_period, [this]() { router_->Sweep(); })) {
     for (const StormSpec& s : config_.storms) {
-      sharded_->ScheduleOn(shard_of_[s.node], s.at, [this, s]() { StormBegin(s); });
+      cluster_.ScheduleOnNode(s.node, s.at, [this, s]() { StormBegin(s); });
     }
     for (const KillSpec& k : config_.kills) {
-      sharded_->ScheduleOn(shard_of_[k.node], k.at, [this, k]() { KillNode(k.node); });
+      cluster_.ScheduleKill(k.at, k.node);
     }
     loadgen_->Start();
   }
-  for (sim::TimePs t = step; t <= horizon; t += step) {
-    sharded_->RunUntil(t);
-    if (Settled()) {
-      return true;
-    }
-  }
-  return Settled();
+  return cluster_.Run(horizon, step, [this]() { return Settled(); });
 }
 
 void ServingFabric::SubmitAt(sim::TimePs t, serving::ServingRequest req) {
-  sharded_->ScheduleOn(shard_of_[router_logical_], t,
-                       [this, req = std::move(req)]() mutable {
-                         router_->Submit(std::move(req));
-                       });
+  cluster_.ScheduleOnNode(cluster_.control(), t, [this, req = std::move(req)]() mutable {
+    router_->Submit(std::move(req));
+  });
 }
 
 bool ServingFabric::Settled() const {
   if (!loadgen_->done() || !router_->Settled()) {
     return false;
   }
-  for (const auto& node : nodes_) {
-    if (node->alive && !node->sched->Idle()) {
+  for (uint32_t n = 0; n < nodes_.size(); ++n) {
+    if (cluster_.alive(n) && !nodes_[n]->sched->Idle()) {
       return false;
     }
   }
@@ -562,104 +462,57 @@ bool ServingFabric::Settled() const {
 
 uint64_t ServingFabric::Fingerprint() const {
   uint64_t h = router_->Fingerprint();
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= serving::kFnvPrime;
-    }
-  };
   for (const auto& node : nodes_) {
-    mix(node->sched->stats().Fingerprint());
-    mix(node->sched->completed());
-    mix(node->sched->failed_requests());
+    serving::FoldU64(&h, node->sched->stats().Fingerprint());
+    serving::FoldU64(&h, node->sched->completed());
+    serving::FoldU64(&h, node->sched->failed_requests());
   }
-  mix(frame_errors_);
+  serving::FoldU64(&h, frame_errors_);
   return h;
 }
 
 // --- Wire: router -> node batches ------------------------------------------
 
 void ServingFabric::SendBatch(uint32_t node, std::vector<serving::ServingRequest> batch) {
-  net::rpc::FrameWriter w;
-  w.U32(node);
-  w.U32(static_cast<uint32_t>(batch.size()));
   uint64_t payload_bytes = 0;
   std::vector<axi::BufferView> payloads;
   payloads.reserve(batch.size());
   for (const serving::ServingRequest& r : batch) {
-    w.U64(r.id);
-    w.U32(r.tenant);
-    w.Str(r.kernel);
-    w.U64(r.payload.size());
-    w.U64(r.response_bytes);
-    w.U64(r.deadline);
-    w.U32(r.priority);
-    w.I32(r.region_hint);
-    w.U64(r.submitted_at);
-    w.U32(r.retries);
     payload_bytes += r.payload.size();
     payloads.push_back(r.payload);
   }
-  std::vector<uint8_t> frame = w.Finish(net::rpc::MsgType::kRequestBatch);
+  std::vector<uint8_t> frame = serving::EncodeBatch(node, batch);
   // The frame carries the metadata; payloads ride alongside as views (the
   // simulated wire charges for both, the host copies neither).
-  const sim::TimePs delay = WireDelay(frame.size() + payload_bytes);
-  PostToNode(router_logical_, node, delay,
-             [this, node, frame = std::move(frame), payloads = std::move(payloads)]() {
-               OnBatchFrame(node, frame, payloads);
-             });
+  const sim::TimePs delay = cluster_.WireDelay(frame.size() + payload_bytes);
+  cluster_.Post(cluster_.control(), node, delay,
+                [this, node, frame = std::move(frame), payloads = std::move(payloads)]() {
+                  OnBatchFrame(node, frame, payloads);
+                });
 }
 
 void ServingFabric::OnBatchFrame(uint32_t node, const std::vector<uint8_t>& frame,
                                  const std::vector<axi::BufferView>& payloads) {
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  if (!cluster_.alive(node)) {
     return;  // the frame reached a dead node; the router's sweep recovers it
   }
-  node_guards_[node]->Write();
-  net::rpc::FrameReader r(frame);
-  if (!r.ok() || r.type() != net::rpc::MsgType::kRequestBatch || r.U32() != node) {
+  cluster_.node_guard(node).Write();
+  // All or nothing: a batch with any bad record executes none of it.
+  std::vector<serving::ServingRequest> batch;
+  if (!serving::DecodeBatch(frame, node, payloads, &batch)) {
     ++frame_errors_;
     return;
   }
-  const uint32_t count = r.U32();
-  if (count != payloads.size()) {
-    ++frame_errors_;
-    return;
-  }
-  for (uint32_t i = 0; i < count; ++i) {
-    serving::ServingRequest req;
-    req.id = r.U64();
-    req.tenant = r.U32();
-    req.kernel = r.Str();
-    const uint64_t payload_len = r.U64();
-    req.response_bytes = r.U64();
-    req.deadline = r.U64();
-    req.priority = r.U32();
-    req.region_hint = r.I32();
-    req.submitted_at = r.U64();
-    req.retries = r.U32();
-    if (!r.ok() || payload_len != payloads[i].size()) {
-      ++frame_errors_;
-      return;
-    }
-    req.payload = payloads[i];
+  for (serving::ServingRequest& req : batch) {
     ExecuteOnNode(node, std::move(req));
   }
 }
 
 void ServingFabric::ExecuteOnNode(uint32_t node, serving::ServingRequest req) {
-  NodeRt& n = *nodes_[node];
-  const sim::TimePs now = NowAt(node);
+  const sim::TimePs now = cluster_.NowAt(node);
   if (req.deadline > 0 && now > req.deadline) {
-    serving::ServingCompletion c;
-    c.id = req.id;
-    c.tenant = req.tenant;
-    c.status = OpStatus::kDeadlineExceeded;
-    c.node = node;
-    c.submitted_at = req.submitted_at;
-    c.completed_at = now;
-    CompleteFromNode(node, c);
+    CompleteFromNode(node,
+                     serving::CompletionFor(req, OpStatus::kDeadlineExceeded, node, -1, now));
     return;
   }
   KernelScheduler::Request sr;
@@ -670,42 +523,29 @@ void ServingFabric::ExecuteOnNode(uint32_t node, serving::ServingRequest req) {
   // The serving contract: never reconfigure on the request path. If the
   // resident region vanished (quarantined mid-batch), fail typed instead.
   sr.require_resident = true;
-  const uint64_t id = req.id;
-  const uint32_t tenant = req.tenant;
-  const sim::TimePs submitted_at = req.submitted_at;
-  sr.failed = [this, node, id, tenant, submitted_at](OpStatus status) {
-    serving::ServingCompletion c;
-    c.id = id;
-    c.tenant = tenant;
+  sr.failed = [this, node, c = serving::CompletionFor(req, OpStatus::kError, node, -1, 0)](
+                  OpStatus status) mutable {
     c.status = status;
-    c.node = node;
-    c.submitted_at = submitted_at;
-    c.completed_at = NowAt(node);
+    c.completed_at = cluster_.NowAt(node);
     CompleteFromNode(node, c);
   };
   sr.run = [this, node, req = std::move(req)](uint32_t vfpga_id,
                                               std::function<void()> done) mutable {
     StartExec(node, vfpga_id, std::move(req), std::move(done));
   };
-  n.sched->Submit(std::move(sr));
+  nodes_[node]->sched->Submit(std::move(sr));
 }
 
 void ServingFabric::StartExec(uint32_t node, uint32_t region,
                               serving::ServingRequest req, std::function<void()> done) {
   NodeRt& n = *nodes_[node];
-  node_guards_[node]->Write();
+  cluster_.node_guard(node).Write();
   Exec& e = n.execs[region];
   if (req.payload.size() > config_.max_payload_bytes ||
       serving::ResponseBytes(req) > config_.max_payload_bytes) {
-    serving::ServingCompletion c;
-    c.id = req.id;
-    c.tenant = req.tenant;
-    c.status = OpStatus::kError;
-    c.node = node;
-    c.region = static_cast<int32_t>(region);
-    c.submitted_at = req.submitted_at;
-    c.completed_at = NowAt(node);
-    CompleteFromNode(node, c);
+    CompleteFromNode(node, serving::CompletionFor(req, OpStatus::kError, node,
+                                                  static_cast<int32_t>(region),
+                                                  cluster_.NowAt(node)));
     done();  // oversized payload: the region frees immediately
     return;
   }
@@ -719,24 +559,17 @@ void ServingFabric::StartExec(uint32_t node, uint32_t region,
 
 void ServingFabric::OnExecDone(uint32_t node, uint32_t region, CThread::Task task,
                                OpStatus status) {
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  if (!cluster_.alive(node)) {
     return;
   }
-  Exec& e = n.execs[region];
+  Exec& e = nodes_[node]->execs[region];
   if (!e.busy || e.task_id != task.id) {
     return;  // stale completion of a request the storm path already settled
   }
-  node_guards_[node]->Write();
+  cluster_.node_guard(node).Write();
   e.busy = false;
-  serving::ServingCompletion c;
-  c.id = e.req.id;
-  c.tenant = e.req.tenant;
-  c.status = status;
-  c.node = node;
-  c.region = static_cast<int32_t>(region);
-  c.submitted_at = e.req.submitted_at;
-  c.completed_at = NowAt(node);
+  serving::ServingCompletion c = serving::CompletionFor(
+      e.req, status, node, static_cast<int32_t>(region), cluster_.NowAt(node));
   if (status == OpStatus::kOk) {
     c.response_hash = serving::HashResponse(e.thread.get(), e.dst_vaddr,
                                             serving::ResponseBytes(e.req));
@@ -753,75 +586,42 @@ void ServingFabric::OnExecDone(uint32_t node, uint32_t region, CThread::Task tas
 // --- Wire: node -> router completions & heartbeats --------------------------
 
 void ServingFabric::CompleteFromNode(uint32_t node, const serving::ServingCompletion& c) {
-  net::rpc::FrameWriter w;
-  w.U64(c.id);
-  w.U32(c.tenant);
-  w.U8(static_cast<uint8_t>(c.status));
-  w.U32(c.node);
-  w.I32(c.region);
-  w.U64(c.submitted_at);
-  w.U64(c.completed_at);
-  w.U64(c.response_hash);
-  std::vector<uint8_t> frame = w.Finish(net::rpc::MsgType::kCompletion);
-  const sim::TimePs delay = WireDelay(frame.size());
-  PostToNode(node, router_logical_, delay,
-             [this, frame = std::move(frame)]() { OnCompletionFrame(frame); });
+  std::vector<uint8_t> frame = serving::EncodeCompletion(c);
+  const sim::TimePs delay = cluster_.WireDelay(frame.size());
+  cluster_.Post(node, cluster_.control(), delay,
+                [this, frame = std::move(frame)]() { OnCompletionFrame(frame); });
 }
 
 void ServingFabric::OnCompletionFrame(const std::vector<uint8_t>& frame) {
-  net::rpc::FrameReader r(frame);
-  if (!r.ok() || r.type() != net::rpc::MsgType::kCompletion) {
-    ++frame_errors_;
-    return;
-  }
   serving::ServingCompletion c;
-  c.id = r.U64();
-  c.tenant = r.U32();
-  c.status = static_cast<OpStatus>(r.U8());
-  c.node = r.U32();
-  c.region = r.I32();
-  c.submitted_at = r.U64();
-  c.completed_at = r.U64();
-  c.response_hash = r.U64();
-  if (!r.ok() || !r.AtEnd()) {
+  if (!serving::DecodeCompletion(frame, &c)) {
     ++frame_errors_;
     return;
   }
   router_->OnCompletion(c);
 }
 
-void ServingFabric::HeartbeatTick(uint32_t node) {
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
-    return;
-  }
-  node_guards_[node]->Write();
-  const uint64_t seq = ++n.hb_seq;
-  net::rpc::FrameWriter w;
-  w.U32(node);
-  w.U64(seq);
-  w.U64(NowAt(node));
-  std::vector<uint8_t> frame = w.Finish(net::rpc::MsgType::kHeartbeat);
-  const sim::TimePs delay = WireDelay(frame.size());
-  PostToNode(node, router_logical_, delay, [this, node, frame = std::move(frame)]() {
-    net::rpc::FrameReader r(frame);
-    if (!r.ok() || r.type() != net::rpc::MsgType::kHeartbeat || r.U32() != node) {
+void ServingFabric::SendHeartbeat(uint32_t node, uint64_t seq) {
+  std::vector<uint8_t> frame = serving::EncodeHeartbeat(node, seq, cluster_.NowAt(node));
+  const sim::TimePs delay = cluster_.WireDelay(frame.size());
+  cluster_.Post(node, cluster_.control(), delay, [this, node, frame = std::move(frame)]() {
+    uint64_t seq_rx = 0;
+    if (!serving::DecodeHeartbeat(frame, node, &seq_rx)) {
       ++frame_errors_;
       return;
     }
-    const uint64_t seq_rx = r.U64();
     router_->OnHeartbeat(node, seq_rx);
   });
 }
 
-// --- Storms and kills -------------------------------------------------------
+// --- Storms -----------------------------------------------------------------
 
 void ServingFabric::StormBegin(const StormSpec& s) {
   NodeRt& n = *nodes_[s.node];
-  if (!n.alive || s.region >= config_.regions_per_node) {
+  if (!cluster_.alive(s.node) || s.region >= config_.regions_per_node) {
     return;
   }
-  node_guards_[s.node]->Write();
+  cluster_.node_guard(s.node).Write();
   ++storms_begun_;
   // The region goes dark for the reprogram window: quarantine first so the
   // scheduler fails stranded require_resident work fast, then abort whatever
@@ -830,34 +630,19 @@ void ServingFabric::StormBegin(const StormSpec& s) {
   if (n.execs[s.region].busy) {
     n.execs[s.region].thread->AbortPending(OpStatus::kAborted);
   }
-  EngineAt(s.node).ScheduleAfter(std::max<sim::TimePs>(1, s.duration),
-                                 [this, s]() { StormEnd(s); });
+  cluster_.EngineAt(s.node).ScheduleAfter(std::max<sim::TimePs>(1, s.duration),
+                                          [this, s]() { StormEnd(s); });
 }
 
 void ServingFabric::StormEnd(const StormSpec& s) {
   NodeRt& n = *nodes_[s.node];
-  if (!n.alive) {
+  if (!cluster_.alive(s.node)) {
     return;
   }
-  node_guards_[s.node]->Write();
+  cluster_.node_guard(s.node).Write();
   // Reprogram done: the region comes back with its kernel freshly resident.
   n.sched->NoteRegionReset(s.region, n.region_kernel[s.region]);
   n.sched->SetQuarantined(s.region, false);
-}
-
-void ServingFabric::KillNode(uint32_t node) {
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
-    return;
-  }
-  node_guards_[node]->Write();
-  n.alive = false;
-  if (n.hb_timer != sim::TimerWheel::kInvalidTimer) {
-    n.dev->timers().Cancel(n.hb_timer);
-    n.hb_timer = sim::TimerWheel::kInvalidTimer;
-  }
-  // Everything else decays passively: heartbeats stop, in-flight work never
-  // completes, and the router's sweep declares the death and evacuates.
 }
 
 }  // namespace runtime

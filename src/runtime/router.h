@@ -26,11 +26,12 @@
 //                reconfiguration-free contract); retries after a node death
 //                are capped, then kShed.
 //
-// Failure handling: nodes heartbeat to the router; a periodic sweep declares
-// a node dead after heartbeat_window of silence, evacuates its open batch
-// and in-flight requests back into the tenant queues (retries capped), and
-// routes them elsewhere. Completions that race the declaration are counted
-// stale and dropped.
+// Failure handling: nodes heartbeat to the router; its LivenessDetector
+// (src/runtime/cluster.h) declares a node dead after heartbeat_window of
+// silence, and the router evacuates the node's open batch and in-flight
+// requests back into the tenant queues (retries capped) and routes them
+// elsewhere. Completions that race the declaration are counted stale and
+// dropped.
 //
 // Determinism: the router lives on one logical node, so every input —
 // submissions, completions, heartbeats — arrives through the PDES merge
@@ -50,16 +51,15 @@
 #include <vector>
 
 #include "src/net/network.h"
+#include "src/runtime/cluster.h"
 #include "src/runtime/cthread.h"
 #include "src/runtime/device.h"
 #include "src/runtime/loadgen.h"
-#include "src/runtime/placement.h"
 #include "src/runtime/scheduler.h"
 #include "src/runtime/serving.h"
 #include "src/sim/access_guard.h"
 #include "src/sim/sharded_engine.h"
 #include "src/sim/stats.h"
-#include "src/sim/timer_wheel.h"
 
 namespace coyote {
 namespace runtime {
@@ -96,7 +96,10 @@ class Router {
   Router(sim::Engine* engine, const Config& config);
 
   // --- Host-side setup --------------------------------------------------------
-  void BindShard(sim::ShardId shard) { guard_.BindShard(shard); }
+  void BindShard(sim::ShardId shard) {
+    guard_.BindShard(shard);
+    liveness_.BindShard(shard);
+  }
   void SetBatchSink(BatchSink sink) { batch_sink_ = std::move(sink); }
   void SetCompletionObserver(CompletionObserver cb) { observer_ = std::move(cb); }
   // Declares which kernel is resident in each region of `node` (the routing
@@ -107,13 +110,15 @@ class Router {
   // Takes ownership of the request; stamps id + submitted_at.
   void Submit(serving::ServingRequest req);
   void OnCompletion(const serving::ServingCompletion& c);
-  void OnHeartbeat(uint32_t node, uint64_t seq);
+  // Liveness entry points onto the router's LivenessDetector. Only a beacon's
+  // arrival time matters, not its sequence number.
+  void OnHeartbeat(uint32_t node, uint64_t /*seq*/) { liveness_.Beat(node, engine_->Now()); }
   // Periodic: declares nodes dead after heartbeat_window of silence.
-  void Sweep();
-  void MarkNodeDead(uint32_t node);
+  void Sweep() { liveness_.Sweep(engine_->Now()); }
+  void MarkNodeDead(uint32_t node) { liveness_.Declare(node); }
 
   // --- Observation ------------------------------------------------------------
-  bool node_alive(uint32_t node) const { return nodes_[node].alive; }
+  bool node_alive(uint32_t node) const { return liveness_.alive(node); }
   // No queued, batched, or in-flight requests anywhere.
   bool Settled() const;
   uint64_t completions() const { return completions_; }
@@ -133,13 +138,10 @@ class Router {
   static constexpr int32_t kNoResident = -2;
 
   struct NodeView {
-    bool alive = true;
     uint64_t outstanding = 0;  // flushed, completion not yet delivered
     std::vector<std::string> region_kernel;
     std::vector<serving::ServingRequest> open_batch;
     uint64_t batch_gen = 0;  // bumped per flush; cancels stale timeout timers
-    sim::TimePs last_heartbeat = 0;
-    uint64_t heartbeats = 0;
   };
   struct Inflight {
     uint32_t node = 0;
@@ -153,6 +155,8 @@ class Router {
   int32_t RegionHintOn(uint32_t node, const std::string& kernel) const;
   void AppendToBatch(uint32_t node, serving::ServingRequest req);
   void FlushBatch(uint32_t node, const char* why);
+  // Death sink: evacuates the node's open batch and in-flight requests.
+  void OnNodeDead(uint32_t node);
   void Requeue(std::vector<serving::ServingRequest> orphans);
   serving::ServingCompletion LocalCompletion(const serving::ServingRequest& req,
                                              OpStatus status) const;
@@ -164,6 +168,7 @@ class Router {
   BatchSink batch_sink_;
   CompletionObserver observer_;
   sim::AccessGuard guard_{"runtime.router"};
+  LivenessDetector liveness_;
 
   std::vector<NodeView> nodes_;
   std::map<uint32_t, std::deque<serving::ServingRequest>> tenant_queues_;
@@ -185,19 +190,20 @@ class Router {
 };
 
 // ---------------------------------------------------------------------------
-// ServingFabric: N simulated nodes (SimDevice + KernelScheduler + per-region
-// cThread executors) plus a Router and an open-loop LoadGen on logical node
-// N, wired over rpc-framed messages with modeled wire delays, all on one
-// sharded PDES engine. The serving analogue of Fleet: same placement rules,
-// same lookahead, same merge-order discipline, so the whole fabric is
-// bit-identical across 1/2/4/8-shard placements.
+// ServingFabric: a Cluster (src/runtime/cluster.h; placement, Post, wire
+// delay, heartbeats, kills, the settle loop) whose N nodes each run a
+// SimDevice, a KernelScheduler and one cThread executor per region, with the
+// Router and an open-loop LoadGen on the control node. Batches, completions
+// and heartbeats travel as CYRP frames (serving.h codecs) through
+// Cluster::Post at WireDelay of their bytes (a batch's payload views
+// included), so the fabric is bit-identical across 1/2/4/8-shard placements.
 //
 // Kernels are preloaded host-side (region r of node n holds
 // kernel_names[(n + r) % K]) and the schedulers run require_resident: a
 // reconfiguration — which nests an engine run — can never happen inside a
 // shard callback. Reconfiguration storms are modeled as quarantine +
-// region-reset after the reprogram latency; node kills stop heartbeats and
-// let the router's sweep declare the death and evacuate.
+// region-reset after the reprogram latency; a node kill stops its heartbeats
+// and the router's sweep declares the death and evacuates.
 // ---------------------------------------------------------------------------
 class ServingFabric {
  public:
@@ -249,7 +255,7 @@ class ServingFabric {
   Router& router() { return *router_; }
   LoadGen& loadgen() { return *loadgen_; }
   KernelScheduler& scheduler(uint32_t node) { return *nodes_[node]->sched; }
-  sim::ShardedEngine& sharded() { return *sharded_; }
+  sim::ShardedEngine& sharded() { return cluster_.sharded(); }
   uint64_t frame_errors() const { return frame_errors_; }
   uint64_t storms_begun() const { return storms_begun_; }
   // Router fingerprint folded with every node scheduler's counter table.
@@ -266,21 +272,11 @@ class ServingFabric {
     std::function<void()> done;  // scheduler region-free callback
   };
   struct NodeRt {
-    uint32_t id = 0;
-    bool alive = true;
     std::unique_ptr<SimDevice> dev;
     std::unique_ptr<KernelScheduler> sched;
     std::vector<Exec> execs;  // one executor per region
     std::vector<std::string> region_kernel;
-    sim::TimerWheel::TimerId hb_timer = sim::TimerWheel::kInvalidTimer;
-    uint64_t hb_seq = 0;
   };
-
-  sim::Engine& EngineAt(uint32_t logical);
-  sim::TimePs NowAt(uint32_t logical);
-  void PostToNode(uint32_t src_logical, uint32_t dst_logical, sim::TimePs delay,
-                  sim::InlineCallback cb);
-  sim::TimePs WireDelay(uint64_t bytes) const;
 
   void SendBatch(uint32_t node, std::vector<serving::ServingRequest> batch);
   void OnBatchFrame(uint32_t node, const std::vector<uint8_t>& frame,
@@ -291,22 +287,18 @@ class ServingFabric {
   void OnExecDone(uint32_t node, uint32_t region, CThread::Task task, OpStatus status);
   void CompleteFromNode(uint32_t node, const serving::ServingCompletion& c);
   void OnCompletionFrame(const std::vector<uint8_t>& frame);
-  void HeartbeatTick(uint32_t node);
+  void SendHeartbeat(uint32_t node, uint64_t seq);
   void StormBegin(const StormSpec& s);
   void StormEnd(const StormSpec& s);
-  void KillNode(uint32_t node);
   bool Settled() const;
 
+  friend struct ServingFabricTestPeer;  // tests deliver hand-built frames
+
   Config config_;
-  uint32_t router_logical_ = 0;  // logical node id of the router/loadgen
-  std::vector<uint32_t> shard_of_;
-  std::unique_ptr<sim::ShardedEngine> sharded_;
+  Cluster cluster_;
   std::vector<std::unique_ptr<NodeRt>> nodes_;
-  std::vector<std::unique_ptr<sim::AccessGuard>> node_guards_;
   std::unique_ptr<Router> router_;
   std::unique_ptr<LoadGen> loadgen_;
-  std::unique_ptr<sim::TimerWheel> router_timers_;
-  bool started_ = false;
   uint64_t frame_errors_ = 0;
   uint64_t storms_begun_ = 0;
 };

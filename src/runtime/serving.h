@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/axi/buffer.h"
+#include "src/net/rpc.h"
 #include "src/runtime/cthread.h"
 #include "src/sim/time.h"
 
@@ -34,6 +35,11 @@ inline void FoldBytes(uint64_t* h, const uint8_t* data, size_t len) {
     *h ^= data[i];
     *h *= kFnvPrime;
   }
+}
+
+// Folds `v`'s 8 bytes in memory order (low byte first on little-endian hosts).
+inline void FoldU64(uint64_t* h, uint64_t v) {
+  FoldBytes(h, reinterpret_cast<const uint8_t*>(&v), sizeof(v));
 }
 
 inline uint64_t HashBytes(const uint8_t* data, size_t len) {
@@ -81,6 +87,126 @@ inline uint64_t ResponseBytes(const ServingRequest& req) {
   return req.response_bytes != 0 ? req.response_bytes : req.payload.size();
 }
 
+// `req`'s completion with `status`, stamped `now`; response_hash stays zero.
+inline ServingCompletion CompletionFor(const ServingRequest& req, OpStatus status, uint32_t node,
+                                       int32_t region, sim::TimePs now) {
+  ServingCompletion c;
+  c.id = req.id;
+  c.tenant = req.tenant;
+  c.status = status;
+  c.node = node;
+  c.region = region;
+  c.submitted_at = req.submitted_at;
+  c.completed_at = now;
+  return c;
+}
+
+// --- CYRP codecs (src/net/rpc.h framing), one encode/decode pair per frame ----
+// A decoder validates the whole frame before it returns anything: on false,
+// nothing in it may be acted on.
+
+// Router -> node request batch. The frame carries each request's metadata;
+// the payloads ride beside it as views (the wire charges for both).
+inline std::vector<uint8_t> EncodeBatch(uint32_t node, const std::vector<ServingRequest>& batch) {
+  net::rpc::FrameWriter w;
+  w.U32(node);
+  w.U32(static_cast<uint32_t>(batch.size()));
+  for (const ServingRequest& r : batch) {
+    w.U64(r.id);
+    w.U32(r.tenant);
+    w.Str(r.kernel);
+    w.U64(r.payload.size());
+    w.U64(r.response_bytes);
+    w.U64(r.deadline);
+    w.U32(r.priority);
+    w.I32(r.region_hint);
+    w.U64(r.submitted_at);
+    w.U32(r.retries);
+  }
+  return w.Finish(net::rpc::MsgType::kRequestBatch);
+}
+
+// Fails unless the frame is addressed to `node`, holds one record per view in
+// `payloads`, and every record decodes with a payload_len equal to its view.
+inline bool DecodeBatch(const std::vector<uint8_t>& frame, uint32_t node,
+                        const std::vector<axi::BufferView>& payloads,
+                        std::vector<ServingRequest>* out) {
+  net::rpc::FrameReader r(frame);
+  bool ok = r.ok() && r.type() == net::rpc::MsgType::kRequestBatch && r.U32() == node &&
+            r.U32() == payloads.size();
+  out->assign(ok ? payloads.size() : 0, ServingRequest{});
+  for (size_t i = 0; i < out->size(); ++i) {
+    ServingRequest& req = (*out)[i];
+    req.id = r.U64();
+    req.tenant = r.U32();
+    req.kernel = r.Str();
+    ok &= r.U64() == payloads[i].size();  // payload_len
+    req.response_bytes = r.U64();
+    req.deadline = r.U64();
+    req.priority = r.U32();
+    req.region_hint = r.I32();
+    req.submitted_at = r.U64();
+    req.retries = r.U32();
+    req.payload = payloads[i];
+  }
+  ok = ok && r.ok() && r.AtEnd();
+  if (!ok) {
+    out->clear();
+  }
+  return ok;
+}
+
+// Node -> router completion. The decoder rejects any status outside kOk..kShed.
+inline std::vector<uint8_t> EncodeCompletion(const ServingCompletion& c) {
+  net::rpc::FrameWriter w;
+  w.U64(c.id);
+  w.U32(c.tenant);
+  w.U8(static_cast<uint8_t>(c.status));
+  w.U32(c.node);
+  w.I32(c.region);
+  w.U64(c.submitted_at);
+  w.U64(c.completed_at);
+  w.U64(c.response_hash);
+  return w.Finish(net::rpc::MsgType::kCompletion);
+}
+
+inline bool DecodeCompletion(const std::vector<uint8_t>& frame, ServingCompletion* out) {
+  net::rpc::FrameReader r(frame);
+  if (!r.ok() || r.type() != net::rpc::MsgType::kCompletion) {
+    return false;
+  }
+  out->id = r.U64();
+  out->tenant = r.U32();
+  const uint8_t status = r.U8();
+  out->status = static_cast<OpStatus>(status);
+  out->node = r.U32();
+  out->region = r.I32();
+  out->submitted_at = r.U64();
+  out->completed_at = r.U64();
+  out->response_hash = r.U64();
+  return r.ok() && r.AtEnd() && status >= static_cast<uint8_t>(OpStatus::kOk) &&
+         status <= static_cast<uint8_t>(OpStatus::kShed);
+}
+
+// Node -> router liveness beacon; the decoder wants it to come from `node`.
+inline std::vector<uint8_t> EncodeHeartbeat(uint32_t node, uint64_t seq, sim::TimePs sent_at) {
+  net::rpc::FrameWriter w;
+  w.U32(node);
+  w.U64(seq);
+  w.U64(sent_at);
+  return w.Finish(net::rpc::MsgType::kHeartbeat);
+}
+
+inline bool DecodeHeartbeat(const std::vector<uint8_t>& frame, uint32_t node, uint64_t* seq) {
+  net::rpc::FrameReader r(frame);
+  if (!r.ok() || r.type() != net::rpc::MsgType::kHeartbeat || r.U32() != node) {
+    return false;
+  }
+  *seq = r.U64();
+  r.U64();  // sent_at
+  return r.ok() && r.AtEnd();
+}
+
 // Stages the payload into `src_vaddr` and invokes the kernel op. Async: the
 // terminal status arrives through the CThread's completion callback — the
 // shard-safe path the fabric's node executors use.
@@ -109,13 +235,8 @@ inline uint64_t HashResponse(CThread* t, uint64_t dst_vaddr, uint64_t len) {
 // GetMem/WriteBuffer/SgEntry/InvokeSync/ReadBuffer blocks.
 inline ServingCompletion ExecuteSync(CThread* t, const ServingRequest& req,
                                      std::vector<uint8_t>* response = nullptr) {
-  ServingCompletion done;
-  done.id = req.id;
-  done.tenant = req.tenant;
-  done.submitted_at = req.submitted_at;
-  done.node = 0;
-  done.region = static_cast<int32_t>(t->vfpga_id());
-
+  ServingCompletion done =
+      CompletionFor(req, OpStatus::kPending, 0, static_cast<int32_t>(t->vfpga_id()), 0);
   const uint64_t resp_len = ResponseBytes(req);
   const uint64_t src = t->GetMem({Alloc::kHpf, req.payload.size()});
   const uint64_t dst = t->GetMem({Alloc::kHpf, resp_len});
