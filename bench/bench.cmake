@@ -26,15 +26,18 @@ coyote_bench(bench_sim_engine coyote_sim coyote_axi)
 coyote_bench(bench_serving coyote_runtime coyote_services coyote_net)
 coyote_bench(bench_tiering coyote_mmu)
 
-# Tier-1 pin of the simulated outputs: bench_serving and bench_migration must
-# reproduce the committed baselines (bench/baselines/) bit for bit, "wall_
-# host-timing lines excepted. Regenerate a baseline only with a change that
-# is meant to move the model, and say so in CHANGES.md.
+# Tier-1 pin of the simulated outputs: bench_serving, bench_migration,
+# bench_tiering and bench_recovery_mttr must reproduce the committed baselines
+# (bench/baselines/) bit for bit, "wall_ host-timing lines excepted.
+# Regenerate a baseline only with a change that is meant to move the model,
+# and say so in CHANGES.md.
 set(COYOTE_BASELINE_DIR ${CMAKE_BINARY_DIR}/bench_baselines)
 file(MAKE_DIRECTORY ${COYOTE_BASELINE_DIR})
 add_test(NAME bench_baselines
   COMMAND sh ${CMAKE_SOURCE_DIR}/bench/check_baselines.sh
     $<TARGET_FILE:bench_serving> ${CMAKE_SOURCE_DIR}/bench/baselines/serving.json
     $<TARGET_FILE:bench_migration> ${CMAKE_SOURCE_DIR}/bench/baselines/migration.json
+    $<TARGET_FILE:bench_tiering> ${CMAKE_SOURCE_DIR}/bench/baselines/tiering.json
+    $<TARGET_FILE:bench_recovery_mttr> ${CMAKE_SOURCE_DIR}/bench/baselines/recovery.json
   WORKING_DIRECTORY ${COYOTE_BASELINE_DIR})
 set_tests_properties(bench_baselines PROPERTIES TIMEOUT ${COYOTE_TEST_TIMEOUT})

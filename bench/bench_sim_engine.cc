@@ -46,7 +46,7 @@ std::atomic<uint64_t> g_allocs{0};
 // noinline keeps the malloc/free pairing opaque to the optimizer: GCC's
 // -Wmismatched-new-delete heuristic cannot see that the replacement operator
 // new is malloc-backed and would flag the free() at every inlined call site.
-__attribute__((noinline)) void* operator new(std::size_t size) {  // lint: raw-alloc-ok
+__attribute__((noinline)) void* operator new(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(size);
   if (p == nullptr) {
@@ -54,7 +54,7 @@ __attribute__((noinline)) void* operator new(std::size_t size) {  // lint: raw-a
   }
   return p;
 }
-__attribute__((noinline)) void* operator new[](std::size_t size) {  // lint: raw-alloc-ok
+__attribute__((noinline)) void* operator new[](std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(size);
   if (p == nullptr) {
@@ -62,16 +62,16 @@ __attribute__((noinline)) void* operator new[](std::size_t size) {  // lint: raw
   }
   return p;
 }
-__attribute__((noinline)) void operator delete(void* p) noexcept {  // lint: raw-alloc-ok
+__attribute__((noinline)) void operator delete(void* p) noexcept {
   std::free(p);
 }
-__attribute__((noinline)) void operator delete[](void* p) noexcept {  // lint: raw-alloc-ok
+__attribute__((noinline)) void operator delete[](void* p) noexcept {
   std::free(p);
 }
-__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {  // lint: raw-alloc-ok
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
-__attribute__((noinline)) void operator delete[](void* p, std::size_t) noexcept {  // lint: raw-alloc-ok
+__attribute__((noinline)) void operator delete[](void* p, std::size_t) noexcept {
   std::free(p);
 }
 

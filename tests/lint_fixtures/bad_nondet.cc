@@ -1,6 +1,6 @@
 // Fixture: every form of ambient nondeterminism the `nondet` rule bans.
-// This file is excluded from the repo-wide lint walk (lint_fixtures/ is a
-// skipped directory); lint_test feeds it through the linter directly.
+// This file is excluded from the repo-wide walk (lint_fixtures/ is a
+// skipped directory); analyzer_test feeds it through the analyzer directly.
 #include <random>
 
 int SeedFromEntropy() {

@@ -1,8 +1,10 @@
 #include "tools/coyote_analyze/analyze.h"
 
 #include <algorithm>
+#include <cctype>
 #include <deque>
-#include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "tools/coyote_frontend/frontend.h"
@@ -16,19 +18,26 @@ using frontend::TokKind;
 using frontend::Token;
 
 // ---------------------------------------------------------------------------
-// Primitive vocabularies. These mirror (and extend) the per-line linter's
-// banned sets; here a hit is recorded unconditionally and only becomes a
-// finding when context propagation proves the enclosing function runs in the
-// context the rule protects.
+// Banned-name tables, one per set. The per-file rules ban these names at
+// their own line; the indexer records them as primitives that only become
+// context-rule findings when the enclosing function runs in the context the
+// rule protects.
 // ---------------------------------------------------------------------------
 
-const std::set<std::string>& BlockingCalls() {
+const std::set<std::string>& BlockingSyscalls() {
   static const std::set<std::string> s = {
       "sleep",   "usleep", "nanosleep", "sleep_for", "sleep_until", "system",
       "popen",   "fork",   "vfork",     "waitpid",   "pause",       "flock",
-      "fsync",   "fdatasync", "epoll_wait", "fopen", "fread",       "fwrite",
-      "fclose",  "fprintf", "printf",   "fscanf",    "scanf",       "fflush",
-      "puts",    "fputs",  "getchar",   "getline"};
+      "fsync",   "fdatasync", "epoll_wait"};
+  return s;
+}
+
+// Stdio calls: fine in a harness, blocking in an event callback.
+const std::set<std::string>& IoCalls() {
+  static const std::set<std::string> s = {
+      "fopen",   "fread",  "fwrite",    "fclose",    "fprintf",     "printf",
+      "fscanf",  "scanf",  "fflush",    "puts",      "fputs",       "getchar",
+      "getline"};
   return s;
 }
 
@@ -51,6 +60,12 @@ const std::set<std::string>& BlockingTypes() {
   return s;
 }
 
+const std::set<std::string>& BlockingIncludes() {
+  static const std::set<std::string> s = {"thread", "mutex", "condition_variable", "future",
+                                          "semaphore"};
+  return s;
+}
+
 const std::set<std::string>& NondetCalls() {
   static const std::set<std::string> s = {
       "rand",   "srand",     "random",       "drand48",       "lrand48",  "mrand48",
@@ -60,8 +75,17 @@ const std::set<std::string>& NondetCalls() {
 }
 
 const std::set<std::string>& NondetTypes() {
-  static const std::set<std::string> s = {"random_device", "mt19937", "mt19937_64",
-                                          "minstd_rand", "default_random_engine"};
+  static const std::set<std::string> s = {
+      "random_device",   "mt19937",         "mt19937_64",       "minstd_rand",
+      "minstd_rand0",    "default_random_engine", "knuth_b",    "ranlux24",
+      "ranlux48",        "ranlux24_base",   "ranlux48_base",    "uniform_int_distribution",
+      "uniform_real_distribution", "normal_distribution", "bernoulli_distribution",
+      "poisson_distribution", "exponential_distribution", "discrete_distribution"};
+  return s;
+}
+
+const std::set<std::string>& NondetIncludes() {
+  static const std::set<std::string> s = {"random", "ctime", "sys/time.h", "chrono"};
   return s;
 }
 
@@ -115,6 +139,408 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 
 bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
+}
+
+// Skips the template argument list opening at toks[lt] ("<"), then any
+// `const`, `&` and `*`; returns the index of the token after them.
+size_t SkipTemplateArgsAndQualifiers(const std::vector<Token>& toks, size_t lt,
+                                     bool* saw_const) {
+  size_t j = lt;
+  int depth = 0;
+  for (; j < toks.size(); ++j) {
+    if (toks[j].text == "<") {
+      ++depth;
+    } else if (toks[j].text == ">") {
+      if (--depth == 0) {
+        break;
+      }
+    }
+  }
+  ++j;
+  while (j < toks.size() &&
+         ((toks[j].kind == TokKind::kPunct && (toks[j].text == "&" || toks[j].text == "*")) ||
+          (toks[j].kind == TokKind::kIdent && toks[j].text == "const"))) {
+    if (toks[j].kind == TokKind::kIdent && saw_const != nullptr) {
+      *saw_const = true;
+    }
+    ++j;
+  }
+  return j;
+}
+
+// The project-wide unordered-name table: every name declared with an
+// unordered container type — a variable or member, a function returning one
+// (`for (auto& x : MakeUnorderedSet())` iterates a nondeterministic temporary
+// just the same), or a `using Alias = std::unordered_map<...>` alias.
+void CollectUnorderedNames(const LexedFile& lexed, std::vector<std::string>* names) {
+  const auto& toks = lexed.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    if (toks[i].kind != TokKind::kIdent || UnorderedTypes().count(toks[i].text) == 0) {
+      continue;
+    }
+    // `using Alias = std::unordered_map<...>`: scan back a few tokens.
+    for (size_t back = 2; back <= 6 && back <= i; ++back) {
+      if (toks[i - back].kind == TokKind::kIdent && toks[i - back].text == "using" &&
+          toks[i - back + 1].kind == TokKind::kIdent) {
+        names->push_back(toks[i - back + 1].text);
+        break;
+      }
+    }
+    if (i + 1 >= toks.size() || toks[i + 1].text != "<") {
+      continue;
+    }
+    const size_t j = SkipTemplateArgsAndQualifiers(toks, i + 1, nullptr);
+    if (j < toks.size() && toks[j].kind == TokKind::kIdent) {
+      names->push_back(toks[j].text);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Per-file rules. Each sees one lexed file and the project-wide unordered-name
+// table; a finding is dropped when its tag suppresses it.
+// ---------------------------------------------------------------------------
+
+struct FileCtx {
+  const std::string& path;
+  const LexedFile& lexed;
+  const std::set<std::string>& unordered_names;
+  std::vector<Finding>* out;
+};
+
+void Report(const FileCtx& ctx, uint32_t line, const std::string& rule, const std::string& tag,
+            const std::string& message) {
+  if (!frontend::Suppressed(ctx.lexed, line, tag)) {
+    ctx.out->push_back(Finding{ctx.path, line, rule, message, {}});
+  }
+}
+
+// Reports `#include <name>` for every name in `banned`; returns the index of
+// the include's last token, or `i` when toks[i] opens no angle include.
+size_t CheckInclude(const FileCtx& ctx, size_t i, const std::set<std::string>& banned,
+                    const std::string& rule, const std::string& tag, const std::string& why) {
+  const auto& toks = ctx.lexed.tokens;
+  if (!(toks[i].kind == TokKind::kPunct && toks[i].text == "#" && i + 2 < toks.size() &&
+        toks[i + 1].text == "include" && toks[i + 2].text == "<")) {
+    return i;
+  }
+  size_t end = i + 2;
+  const std::string name = frontend::JoinIncludeName(toks, i + 2, &end);
+  if (banned.count(name) != 0) {
+    Report(ctx, toks[i].line, rule, tag, "#include <" + name + ">" + why);
+  }
+  return end;
+}
+
+// nondet — no ambient randomness or wall-clock reads. All randomness must
+// flow through sim::Rng streams; all time through sim::Engine::Now().
+void RuleNondet(const FileCtx& ctx) {
+  const auto& toks = ctx.lexed.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    const size_t end =
+        CheckInclude(ctx, i, NondetIncludes(), "nondet", "nondet-ok",
+                     " is banned in simulation code: randomness must flow through sim::Rng and "
+                     "time through sim::Engine::Now()");
+    if (end != i) {
+      i = end;
+      continue;
+    }
+    if (t.kind != TokKind::kIdent) {
+      continue;
+    }
+    if ((NondetTypes().count(t.text) != 0 || WallClocks().count(t.text) != 0) &&
+        !frontend::PrevIsMemberAccess(toks, i)) {
+      Report(ctx, t.line, "nondet", "nondet-ok",
+             "'" + t.text + "' is nondeterministic (platform-dependent or ambient state); " +
+                 "use sim::Rng / sim::Engine::Now() instead");
+      continue;
+    }
+    if (NondetCalls().count(t.text) != 0 && frontend::LooksLikeCall(toks, i)) {
+      Report(ctx, t.line, "nondet", "nondet-ok",
+             "call to '" + t.text + "()' breaks seed-replay determinism; use sim::Rng / " +
+                 "sim::Engine::Now() instead");
+    }
+  }
+}
+
+// unordered-iter — no iteration over unordered containers. Hash-map iteration
+// order is implementation-defined and changes with rehashing, so any
+// iteration result that feeds event ordering, stats fingerprints, or packet
+// emission silently breaks replay. Point lookups are fine.
+void RuleUnorderedIter(const FileCtx& ctx) {
+  const auto& toks = ctx.lexed.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (t.kind != TokKind::kIdent) {
+      continue;
+    }
+    // Range-for over a known unordered container name, a helper returning
+    // one, or an unordered temporary constructed in the range expression.
+    if (t.text == "for" && i + 1 < toks.size() && toks[i + 1].text == "(") {
+      int depth = 0;
+      size_t colon = 0;
+      size_t close = 0;
+      for (size_t j = i + 1; j < toks.size(); ++j) {
+        if (toks[j].text == "(") {
+          ++depth;
+        } else if (toks[j].text == ")") {
+          if (--depth == 0) {
+            close = j;
+            break;
+          }
+        } else if (toks[j].text == ":" && depth == 1 && colon == 0) {
+          colon = j;
+        }
+      }
+      if (colon != 0 && close != 0) {
+        for (size_t j = colon + 1; j < close; ++j) {
+          if (toks[j].kind == TokKind::kIdent &&
+              (ctx.unordered_names.count(toks[j].text) != 0 ||
+               UnorderedTypes().count(toks[j].text) != 0)) {
+            Report(ctx, t.line, "unordered-iter", "ordered-ok",
+                   "range-for over unordered container '" + toks[j].text +
+                       "': iteration order is implementation-defined and breaks seed replay; "
+                       "use an ordered container or sort first");
+            break;
+          }
+        }
+      }
+      continue;
+    }
+    // x.begin() / x.equal_range() on a known unordered container name.
+    if (ctx.unordered_names.count(t.text) != 0 && i + 3 < toks.size() &&
+        (toks[i + 1].text == "." || toks[i + 1].text == "->") &&
+        toks[i + 2].kind == TokKind::kIdent && IterCalls().count(toks[i + 2].text) != 0 &&
+        toks[i + 3].text == "(") {
+      Report(ctx, t.line, "unordered-iter", "ordered-ok",
+             "'" + t.text + "." + toks[i + 2].text +
+                 "()' iterates an unordered container; order is implementation-defined");
+    }
+  }
+}
+
+// raw-alloc — no raw new/delete outside allocator shims. Everything in the
+// simulator owns memory via containers or smart pointers; raw allocation is
+// where the sanitizer jobs find their leaks and double-frees.
+void RuleRawAlloc(const FileCtx& ctx) {
+  const auto& toks = ctx.lexed.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (t.kind != TokKind::kIdent) {
+      continue;
+    }
+    const Token* p = frontend::Prev(toks, i);
+    if (t.text == "new") {
+      if (p != nullptr && p->kind == TokKind::kIdent && p->text == "operator") {
+        continue;  // allocator shim definition
+      }
+      Report(ctx, t.line, "raw-alloc", "raw-alloc-ok",
+             "raw 'new': own memory via containers or std::make_unique/make_shared");
+    } else if (t.text == "delete") {
+      if (p != nullptr &&
+          ((p->kind == TokKind::kPunct && p->text == "=") ||   // deleted function
+           (p->kind == TokKind::kIdent && p->text == "operator"))) {
+        continue;
+      }
+      Report(ctx, t.line, "raw-alloc", "raw-alloc-ok",
+             "raw 'delete': own memory via containers or smart pointers");
+    }
+  }
+}
+
+// blocking — no blocking syscalls or thread primitives. Engine callbacks must
+// complete without yielding to the OS: a sleep or wait inside an event
+// callback stalls simulated time against wall time and makes run duration
+// (and any timeout-adjacent behavior) machine-dependent.
+void RuleBlocking(const FileCtx& ctx) {
+  const auto& toks = ctx.lexed.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    const size_t end =
+        CheckInclude(ctx, i, BlockingIncludes(), "blocking", "blocking-ok",
+                     ": the simulator is single-threaded by design; threads and blocking "
+                     "waits have no place in engine callbacks");
+    if (end != i) {
+      i = end;
+      continue;
+    }
+    if (t.kind == TokKind::kIdent && BlockingSyscalls().count(t.text) != 0 &&
+        frontend::LooksLikeCall(toks, i)) {
+      Report(ctx, t.line, "blocking", "blocking-ok",
+             "call to '" + t.text + "()' blocks; engine callbacks must not yield to the OS");
+    }
+  }
+}
+
+// wall-clock — simulation code keeps time with the engine's virtual clock,
+// never the host's. std::chrono clock reads and thread sleeps in src/ make
+// behavior depend on machine speed and wall time; only files annotated
+// `// lint: host-boundary <why>` (benchmark harness timers, the shard-worker
+// coordination layer) may touch the host clock. nondet/blocking ban the
+// underlying types and includes project wide; this rule pins the specific
+// ::now()/sleep_for call sites in src/ so a host-boundary file is still told
+// exactly where it reads host time.
+void RuleWallClock(const FileCtx& ctx) {
+  if (!StartsWith(ctx.path, "src/")) {
+    return;  // bench/tests own their wall-clock policy (wall_-prefixed stats)
+  }
+  if (frontend::HasFileAnnotation(ctx.lexed, "host-boundary")) {
+    return;
+  }
+  const auto& toks = ctx.lexed.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (t.kind != TokKind::kIdent) {
+      continue;
+    }
+    // system_clock::now() / steady_clock::now(...)
+    if (WallClocks().count(t.text) != 0 && i + 3 < toks.size() && toks[i + 1].text == "::" &&
+        toks[i + 2].text == "now" && toks[i + 3].text == "(") {
+      Report(ctx, t.line, "wall-clock", "wall-clock-ok",
+             "'" + t.text + "::now()' reads the host clock; simulation code must use "
+             "sim::Engine::Now() (annotate the file '// lint: host-boundary <why>' if it "
+             "really sits on the host side)");
+      continue;
+    }
+    const Token* p = frontend::Prev(toks, i);
+    if ((t.text == "sleep_for" || t.text == "sleep_until") &&
+        (frontend::LooksLikeCall(toks, i) || frontend::PrevIsMemberAccess(toks, i) ||
+         (p != nullptr && p->text == "::"))) {
+      Report(ctx, t.line, "wall-clock", "wall-clock-ok",
+             "'" + t.text + "' stalls simulated time against wall time; schedule a future "
+             "event on the engine instead");
+    }
+  }
+}
+
+// header-guard — headers carry a canonical include guard derived from their
+// project-relative path (SRC_SIM_ENGINE_H_ style).
+std::string ExpectedGuard(const std::string& path) {
+  std::string guard;
+  for (char c : path) {
+    guard += std::isalnum(static_cast<unsigned char>(c))
+                 ? static_cast<char>(std::toupper(static_cast<unsigned char>(c)))
+                 : '_';
+  }
+  guard += '_';
+  return guard;
+}
+
+void RuleHeaderGuard(const FileCtx& ctx) {
+  if (!frontend::IsHeaderPath(ctx.path)) {
+    return;
+  }
+  const auto& toks = ctx.lexed.tokens;
+  for (size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (toks[i].text != "#") {
+      continue;
+    }
+    if (toks[i + 1].text == "pragma" && i + 2 < toks.size() && toks[i + 2].text == "once") {
+      return;  // accepted (though the codebase convention is #ifndef guards)
+    }
+    if (toks[i + 1].text == "ifndef" && i + 2 < toks.size()) {
+      const std::string macro = toks[i + 2].text;
+      const std::string expected = ExpectedGuard(ctx.path);
+      if (macro != expected) {
+        Report(ctx, toks[i + 2].line, "header-guard", "header-ok",
+               "include guard '" + macro + "' should be '" + expected + "'");
+      }
+      if (!(i + 5 < toks.size() && toks[i + 3].text == "#" && toks[i + 4].text == "define" &&
+            toks[i + 5].text == macro)) {
+        Report(ctx, toks[i + 2].line, "header-guard", "header-ok",
+               "#ifndef " + macro + " is not followed by a matching #define");
+      }
+      return;
+    }
+    // Any other directive (or code) before the guard means there is no guard.
+    break;
+  }
+  Report(ctx, 1, "header-guard", "header-ok",
+         "missing include guard (expected '" + ExpectedGuard(ctx.path) + "')");
+}
+
+// using-ns-header — no `using namespace` at any scope in headers.
+void RuleUsingNamespaceHeader(const FileCtx& ctx) {
+  if (!frontend::IsHeaderPath(ctx.path)) {
+    return;
+  }
+  const auto& toks = ctx.lexed.tokens;
+  for (size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (toks[i].kind == TokKind::kIdent && toks[i].text == "using" &&
+        toks[i + 1].kind == TokKind::kIdent && toks[i + 1].text == "namespace") {
+      Report(ctx, toks[i].line, "using-ns-header", "using-ok",
+             "'using namespace' in a header leaks into every includer");
+    }
+  }
+}
+
+// hot-copy — no by-value payload parameters on the packet hot paths.
+// StreamPacket and std::vector<uint8_t> travel through every per-packet call
+// in src/axi, src/dyn, src/net and src/memsys; accepting them by value costs
+// a copy (and before BufferView, an allocation) per hop per packet. Take
+// `const T&` for borrowed payloads or `T&&`/BufferView for transfers; sites
+// that copy deliberately (e.g. a sink that must own the packet) annotate
+// with "// lint: hot-copy-ok".
+void RuleHotCopy(const FileCtx& ctx) {
+  if (!StartsWith(ctx.path, "src/axi/") && !StartsWith(ctx.path, "src/dyn/") &&
+      !StartsWith(ctx.path, "src/net/") && !StartsWith(ctx.path, "src/memsys/")) {
+    return;
+  }
+  const auto& toks = ctx.lexed.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    if (toks[i].kind != TokKind::kIdent) {
+      continue;
+    }
+    // Match the payload type and remember where its spelling ends.
+    size_t type_end;
+    std::string pretty;
+    if (toks[i].text == "StreamPacket") {
+      type_end = i;
+      pretty = "StreamPacket";
+    } else if (toks[i].text == "vector" && i + 3 < toks.size() && toks[i + 1].text == "<" &&
+               toks[i + 2].kind == TokKind::kIdent && toks[i + 2].text == "uint8_t" &&
+               toks[i + 3].text == ">") {
+      type_end = i + 3;
+      pretty = "std::vector<uint8_t>";
+    } else {
+      continue;
+    }
+    // Walk back over namespace qualifiers and `const` to the token that opens
+    // the parameter slot; only `(` and `,` put us in a parameter list. This
+    // rejects return types, member declarations, locals and template args.
+    size_t b = i;
+    while (b >= 2 && toks[b - 1].kind == TokKind::kPunct && toks[b - 1].text == "::" &&
+           toks[b - 2].kind == TokKind::kIdent) {
+      b -= 2;
+    }
+    if (b >= 1 && toks[b - 1].kind == TokKind::kIdent && toks[b - 1].text == "const") {
+      b -= 1;
+    }
+    const Token* opener = frontend::Prev(toks, b);
+    if (opener == nullptr || opener->kind != TokKind::kPunct ||
+        (opener->text != "(" && opener->text != ",")) {
+      continue;
+    }
+    // `StreamPacket(...)` / `StreamPacket{...}` right after the type is a
+    // constructor call inside an argument list, not a parameter.
+    if (type_end + 1 < toks.size() &&
+        (toks[type_end + 1].text == "(" || toks[type_end + 1].text == "{")) {
+      continue;
+    }
+    // The first punctuation after the type decides: `&` or `*` means the
+    // payload is borrowed or moved; `,`, `)` or `=` ends a by-value
+    // parameter; anything else is not a plain parameter declaration.
+    size_t j = type_end + 1;
+    while (j < toks.size() && toks[j].kind != TokKind::kPunct) {
+      ++j;
+    }
+    if (j < toks.size() && (toks[j].text == "," || toks[j].text == ")" || toks[j].text == "=")) {
+      Report(ctx, toks[i].line, "hot-copy", "hot-copy-ok",
+             "by-value '" + pretty + "' parameter copies the payload on a per-packet path; "
+             "take 'const " + pretty + "&' (borrow) or '" + pretty + "&&'/BufferView (transfer)");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -553,7 +979,7 @@ class Indexer {
       return;
     }
     if (!qualifier.empty() || frontend::LooksLikeCall(toks_, i)) {
-      if (BlockingCalls().count(t.text) != 0) {
+      if (BlockingSyscalls().count(t.text) != 0 || IoCalls().count(t.text) != 0) {
         AddPrimitive(&f, "callback-blocking", t.line, "'" + t.text + "()' blocks",
                      "callback-blocking-ok");
       }
@@ -709,8 +1135,7 @@ class Indexer {
     if (nx == nullptr || nx->text != "<") {
       return;
     }
-    // Reject alias heads (`using X = std::map<...>`): the alias itself is
-    // recorded by the unordered table below, not as state.
+    // Reject alias heads (`using X = std::map<...>`): an alias is not state.
     bool alias_head = false;
     for (size_t j = stmt_head_; j < i; ++j) {
       if (toks_[j].kind == TokKind::kIdent &&
@@ -727,39 +1152,13 @@ class Indexer {
       }
     }
     // Skip the template argument list, then cv/ref qualifiers, then the name.
-    size_t j = i + 1;
-    int depth = 0;
-    for (; j < toks_.size(); ++j) {
-      if (toks_[j].text == "<") {
-        ++depth;
-      } else if (toks_[j].text == ">") {
-        if (--depth == 0) {
-          break;
-        }
-      }
-    }
-    ++j;
-    while (j < toks_.size() &&
-           ((toks_[j].kind == TokKind::kPunct &&
-             (toks_[j].text == "&" || toks_[j].text == "*")) ||
-            (toks_[j].kind == TokKind::kIdent && toks_[j].text == "const"))) {
-      if (toks_[j].kind == TokKind::kIdent) {
-        is_const = true;
-      }
-      ++j;
-    }
+    const size_t j = SkipTemplateArgsAndQualifiers(toks_, i + 1, &is_const);
     if (j >= toks_.size() || toks_[j].kind != TokKind::kIdent) {
       return;
     }
     const std::string declared = toks_[j].text;
     const Token* after = frontend::Next(toks_, j);
     const bool is_function = after != nullptr && after->text == "(";
-    if (UnorderedTypes().count(t.text) != 0) {
-      // Project-wide unordered symbol table: variables, members, and
-      // functions returning unordered containers all make range-for over
-      // them (or their temporaries) nondeterministic.
-      out_->unordered_names.push_back(declared);
-    }
     if (alias_head || is_function || is_const) {
       return;
     }
@@ -792,62 +1191,11 @@ class Indexer {
   size_t stmt_head_ = 0;
 };
 
-// Unordered declarations also hide inside function bodies (locals); sweep
-// the whole token stream for them so the analyze-time table is complete.
-void CollectLocalUnordered(const LexedFile& lexed, FileIndex* out) {
-  const auto& toks = lexed.tokens;
-  for (size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdent || UnorderedTypes().count(toks[i].text) == 0) {
-      continue;
-    }
-    size_t j = i + 1;
-    if (j >= toks.size() || toks[j].text != "<") {
-      continue;
-    }
-    int depth = 0;
-    for (; j < toks.size(); ++j) {
-      if (toks[j].text == "<") {
-        ++depth;
-      } else if (toks[j].text == ">") {
-        if (--depth == 0) {
-          break;
-        }
-      }
-    }
-    ++j;
-    while (j < toks.size() &&
-           ((toks[j].kind == TokKind::kPunct &&
-             (toks[j].text == "&" || toks[j].text == "*")) ||
-            (toks[j].kind == TokKind::kIdent && toks[j].text == "const"))) {
-      ++j;
-    }
-    if (j < toks.size() && toks[j].kind == TokKind::kIdent) {
-      out->unordered_names.push_back(toks[j].text);
-    }
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Public API
 // ---------------------------------------------------------------------------
-
-const std::vector<RuleInfo>& Rules() {
-  static const std::vector<RuleInfo> rules = {
-      {"callback-blocking", "callback-blocking-ok",
-       "no blocking/sleep/IO/mutex acquisition reachable from event-callback context"},
-      {"sim-nondet", "sim-nondet-ok",
-       "no nondeterminism source (wall clock, rand, pointer hashing, unordered iteration) "
-       "reachable from simulation context"},
-      {"cross-shard", "cross-shard-ok",
-       "callbacks reach other shards only through the ShardedEngine mailbox API (Post)"},
-      {"guard-state", "guard-ok (reason required)",
-       "mutable containers mutated from callback context register a sim::AccessGuard or "
-       "carry a justified suppression"},
-  };
-  return rules;
-}
 
 Index BuildIndex(const std::vector<SourceFile>& files) {
   Index index;
@@ -855,10 +1203,9 @@ Index BuildIndex(const std::vector<SourceFile>& files) {
   for (const SourceFile& f : files) {
     FileIndex fi;
     fi.path = f.first;
-    fi.fnv = frontend::Fnv1a(f.second);
-    const LexedFile lexed = frontend::Lex(f.second);
-    Indexer(fi.path, lexed, &fi).Run();
-    CollectLocalUnordered(lexed, &fi);
+    fi.lexed = frontend::Lex(f.second);
+    Indexer(fi.path, fi.lexed, &fi).Run();
+    CollectUnorderedNames(fi.lexed, &fi.unordered_names);
     std::sort(fi.unordered_names.begin(), fi.unordered_names.end());
     fi.unordered_names.erase(
         std::unique(fi.unordered_names.begin(), fi.unordered_names.end()),
@@ -868,37 +1215,8 @@ Index BuildIndex(const std::vector<SourceFile>& files) {
   return index;
 }
 
-Index BuildIndexCached(const std::vector<SourceFile>& files, const Index& cached) {
-  std::map<std::string, const FileIndex*> by_path;
-  for (const FileIndex& fi : cached.files) {
-    by_path[fi.path] = &fi;
-  }
-  Index index;
-  index.files.reserve(files.size());
-  for (const SourceFile& f : files) {
-    auto it = by_path.find(f.first);
-    if (it != by_path.end() && it->second->fnv == frontend::Fnv1a(f.second)) {
-      index.files.push_back(*it->second);
-      continue;
-    }
-    Index one = BuildIndex({f});
-    index.files.push_back(std::move(one.files.front()));
-  }
-  return index;
-}
-
-Index IndexPaths(const std::string& root_dir, const std::vector<std::string>& relative_paths,
-                 const std::string& cache_path) {
-  const auto files = frontend::ReadFiles(root_dir, relative_paths);
-  Index cached;
-  if (!cache_path.empty()) {
-    LoadIndex(cache_path, &cached);
-  }
-  Index index = cached.files.empty() ? BuildIndex(files) : BuildIndexCached(files, cached);
-  if (!cache_path.empty()) {
-    SaveIndex(index, cache_path);
-  }
-  return index;
+Index IndexPaths(const std::string& root_dir, const std::vector<std::string>& relative_paths) {
+  return BuildIndex(frontend::ReadFiles(root_dir, relative_paths));
 }
 
 // ---------------------------------------------------------------------------
@@ -909,16 +1227,66 @@ namespace {
 
 struct Graph {
   std::vector<const FunctionInfo*> fns;
-  std::vector<const FileIndex*> owner;
   std::map<std::string, std::vector<int>> by_short;
   std::map<std::string, const ClassInfo*> classes;
   std::set<std::string> unordered;
   std::map<std::string, const GlobalInfo*> globals;
 };
 
+// Harness code: checked by the per-file rules, but never a call-graph node.
 bool TestContext(const std::string& file) {
   return StartsWith(file, "tests/") || StartsWith(file, "bench/") ||
          StartsWith(file, "examples/") || StartsWith(file, "tools/");
+}
+
+using FileRuleFn = void (*)(const FileCtx&);
+
+// One table for every rule. `per_file` is null for the context rules, which
+// Analyze evaluates over the call graph.
+struct RuleEntry {
+  RuleInfo info;
+  FileRuleFn per_file;
+};
+
+const std::vector<RuleEntry>& RuleTable() {
+  static const std::vector<RuleEntry> table = {
+      {{"nondet", "nondet-ok",
+        "no ambient randomness or wall-clock reads; use sim::Rng / Engine::Now()"},
+       RuleNondet},
+      {{"unordered-iter", "ordered-ok",
+        "no iteration over unordered containers (order is implementation-defined)"},
+       RuleUnorderedIter},
+      {{"raw-alloc", "raw-alloc-ok", "no raw new/delete outside allocator shims"},
+       RuleRawAlloc},
+      {{"blocking", "blocking-ok", "no blocking syscalls or thread primitives"},
+       RuleBlocking},
+      {{"wall-clock", "wall-clock-ok",
+        "src/ keeps time with sim::Engine::Now(); host clock reads/sleeps only in "
+        "'// lint: host-boundary' files"},
+       RuleWallClock},
+      {{"header-guard", "header-ok", "headers carry a canonical path-derived include guard"},
+       RuleHeaderGuard},
+      {{"using-ns-header", "using-ok", "no 'using namespace' in headers"},
+       RuleUsingNamespaceHeader},
+      {{"hot-copy", "hot-copy-ok",
+        "no by-value StreamPacket / std::vector<uint8_t> parameters on packet hot paths"},
+       RuleHotCopy},
+      {{"callback-blocking", "callback-blocking-ok",
+        "no blocking/sleep/IO/mutex acquisition reachable from event-callback context"},
+       nullptr},
+      {{"sim-nondet", "sim-nondet-ok",
+        "no nondeterminism source (wall clock, rand, pointer hashing, unordered iteration) "
+        "reachable from simulation context"},
+       nullptr},
+      {{"cross-shard", "cross-shard-ok",
+        "callbacks reach other shards only through the ShardedEngine mailbox API (Post)"},
+       nullptr},
+      {{"guard-state", "guard-ok (reason required)",
+        "mutable containers mutated from callback context register a sim::AccessGuard or "
+        "carry a justified suppression"},
+       nullptr},
+  };
+  return table;
 }
 
 std::vector<int> Resolve(const Graph& g, int caller, const CallSite& call) {
@@ -1024,13 +1392,27 @@ std::string Finding::ChainString() const {
   return s;
 }
 
+const std::vector<RuleInfo>& Rules() {
+  static const std::vector<RuleInfo> infos = [] {
+    std::vector<RuleInfo> v;
+    for (const RuleEntry& e : RuleTable()) {
+      v.push_back(e.info);
+    }
+    return v;
+  }();
+  return infos;
+}
+
 std::vector<Finding> Analyze(const Index& index, const Options& options) {
   Graph g;
   for (const FileIndex& fi : index.files) {
+    g.unordered.insert(fi.unordered_names.begin(), fi.unordered_names.end());
+    if (TestContext(fi.path)) {
+      continue;
+    }
     for (const FunctionInfo& fn : fi.functions) {
       g.by_short[fn.short_name].push_back(static_cast<int>(g.fns.size()));
       g.fns.push_back(&fn);
-      g.owner.push_back(&fi);
     }
     for (const ClassInfo& ci : fi.classes) {
       if (!ci.name.empty() && g.classes.count(ci.name) == 0) {
@@ -1042,13 +1424,22 @@ std::vector<Finding> Analyze(const Index& index, const Options& options) {
         g.globals[gl.name] = &gl;
       }
     }
-    g.unordered.insert(fi.unordered_names.begin(), fi.unordered_names.end());
   }
 
   const auto enabled = [&options](const std::string& id) {
     return options.rules.empty() ||
            std::find(options.rules.begin(), options.rules.end(), id) != options.rules.end();
   };
+
+  std::vector<Finding> findings;
+  for (const FileIndex& fi : index.files) {
+    const FileCtx ctx{fi.path, fi.lexed, g.unordered, &findings};
+    for (const RuleEntry& rule : RuleTable()) {
+      if (rule.per_file != nullptr && enabled(rule.info.id)) {
+        rule.per_file(ctx);
+      }
+    }
+  }
 
   // Context roots. Event-callback context: indexer-marked lambdas/functions
   // (schedule sinks, InlineCallback construction) plus the shard worker body.
@@ -1057,9 +1448,6 @@ std::vector<Finding> Analyze(const Index& index, const Options& options) {
   std::map<int, Reach> callback;
   for (size_t i = 0; i < g.fns.size(); ++i) {
     const FunctionInfo* f = g.fns[i];
-    if (TestContext(f->file)) {
-      continue;
-    }
     if (f->root == "callback" ||
         (f->short_name == "WorkerMain" && EndsWith(f->file, "sim/sharded_engine.cc"))) {
       callback[static_cast<int>(i)] = Reach{};
@@ -1075,7 +1463,6 @@ std::vector<Finding> Analyze(const Index& index, const Options& options) {
   }
   Propagate(g, &sim);
 
-  std::vector<Finding> findings;
   const auto add = [&findings](const std::string& file, uint32_t line, const std::string& rule,
                                std::string message, std::vector<std::string> chain) {
     findings.push_back(Finding{file, line, rule, std::move(message), std::move(chain)});
@@ -1083,9 +1470,6 @@ std::vector<Finding> Analyze(const Index& index, const Options& options) {
 
   for (const auto& [id, reach] : callback) {
     const FunctionInfo* f = g.fns[static_cast<size_t>(id)];
-    if (TestContext(f->file)) {
-      continue;
-    }
     for (const PrimitiveSite& p : f->primitives) {
       if (p.rule == "sim-nondet") {
         continue;  // evaluated under the (wider) simulation context below
@@ -1162,9 +1546,6 @@ std::vector<Finding> Analyze(const Index& index, const Options& options) {
   if (enabled("sim-nondet")) {
     for (const auto& [id, reach] : sim) {
       const FunctionInfo* f = g.fns[static_cast<size_t>(id)];
-      if (TestContext(f->file)) {
-        continue;
-      }
       const std::string context = callback.count(id) != 0 ? "callback" : "sim";
       const std::map<int, Reach>& reached = callback.count(id) != 0 ? callback : sim;
       for (const PrimitiveSite& p : f->primitives) {
@@ -1217,170 +1598,6 @@ std::string FormatReport(const std::vector<Finding>& findings) {
   out << "coyote_analyze: " << findings.size() << " finding"
       << (findings.size() == 1 ? "" : "s") << "\n";
   return out.str();
-}
-
-// ---------------------------------------------------------------------------
-// Index cache: line-oriented text serialization. Identifiers and paths carry
-// no spaces, so fields are space-separated with free text (primitive detail)
-// last on the line. "-" encodes an empty string field.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// v2: SetCompletionCallback joined the callback sinks, so cached v1 indexes
-// would miss simulation-context edges through the serving executors.
-constexpr const char kMagic[] = "coyote-analyze-index v2";
-
-std::string Enc(const std::string& s) { return s.empty() ? "-" : s; }
-std::string Dec(const std::string& s) { return s == "-" ? "" : s; }
-
-}  // namespace
-
-bool SaveIndex(const Index& index, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << kMagic << "\n";
-  for (const FileIndex& fi : index.files) {
-    out << "file " << fi.fnv << " " << fi.path << "\n";
-    for (const std::string& u : fi.unordered_names) {
-      out << "un " << u << "\n";
-    }
-    for (const GlobalInfo& gl : fi.globals) {
-      out << "gl " << gl.line << " " << gl.suppressed << " " << gl.has_reason << " "
-          << gl.name << "\n";
-    }
-    for (const ClassInfo& ci : fi.classes) {
-      out << "cl " << ci.line << " " << ci.has_access_guard << " " << Enc(ci.name) << "\n";
-      for (const MemberInfo& m : ci.container_members) {
-        out << "mb " << m.line << " " << m.suppressed << " " << m.has_reason << " " << m.name
-            << "\n";
-      }
-    }
-    for (const FunctionInfo& fn : fi.functions) {
-      out << "fn " << fn.line << " " << fn.is_lambda << " " << Enc(fn.root) << " "
-          << Enc(fn.class_name) << " " << fn.short_name << " " << fn.name << "\n";
-      for (const CallSite& c : fn.calls) {
-        out << "ca " << c.line << " " << c.member << " " << Enc(c.qualifier) << " " << c.name
-            << "\n";
-      }
-      for (const IterSite& it : fn.iters) {
-        out << "it " << it.line << " " << it.name << "\n";
-      }
-      for (const MutationSite& m : fn.mutations) {
-        out << "mu " << m.line << " " << m.global << " " << m.name << "\n";
-      }
-      for (const PrimitiveSite& p : fn.primitives) {
-        out << "pr " << p.line << " " << p.needs_reason << " " << p.rule << " " << p.detail
-            << "\n";
-      }
-    }
-  }
-  return static_cast<bool>(out);
-}
-
-bool LoadIndex(const std::string& path, Index* index) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) {
-    return false;
-  }
-  index->files.clear();
-  FileIndex* fi = nullptr;
-  ClassInfo* cls = nullptr;
-  FunctionInfo* fn = nullptr;
-  while (std::getline(in, line)) {
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag == "file") {
-      index->files.emplace_back();
-      fi = &index->files.back();
-      cls = nullptr;
-      fn = nullptr;
-      ls >> fi->fnv >> fi->path;
-    } else if (fi == nullptr) {
-      return false;
-    } else if (tag == "un") {
-      std::string name;
-      ls >> name;
-      fi->unordered_names.push_back(name);
-    } else if (tag == "gl") {
-      GlobalInfo gl;
-      ls >> gl.line >> gl.suppressed >> gl.has_reason >> gl.name;
-      fi->globals.push_back(gl);
-    } else if (tag == "cl") {
-      ClassInfo ci;
-      std::string name;
-      ls >> ci.line >> ci.has_access_guard >> name;
-      ci.name = Dec(name);
-      ci.file = fi->path;
-      fi->classes.push_back(ci);
-      cls = &fi->classes.back();
-      fn = nullptr;
-    } else if (tag == "mb") {
-      if (cls == nullptr) {
-        return false;
-      }
-      MemberInfo m;
-      ls >> m.line >> m.suppressed >> m.has_reason >> m.name;
-      cls->container_members.push_back(m);
-    } else if (tag == "fn") {
-      FunctionInfo f;
-      std::string root, class_name;
-      ls >> f.line >> f.is_lambda >> root >> class_name >> f.short_name >> f.name;
-      f.root = Dec(root);
-      f.class_name = Dec(class_name);
-      f.file = fi->path;
-      fi->functions.push_back(std::move(f));
-      fn = &fi->functions.back();
-      cls = nullptr;
-    } else if (tag == "ca") {
-      if (fn == nullptr) {
-        return false;
-      }
-      CallSite c;
-      std::string qual;
-      ls >> c.line >> c.member >> qual >> c.name;
-      c.qualifier = Dec(qual);
-      fn->calls.push_back(c);
-    } else if (tag == "it") {
-      if (fn == nullptr) {
-        return false;
-      }
-      IterSite it_site;
-      ls >> it_site.line >> it_site.name;
-      fn->iters.push_back(it_site);
-    } else if (tag == "mu") {
-      if (fn == nullptr) {
-        return false;
-      }
-      MutationSite m;
-      ls >> m.line >> m.global >> m.name;
-      fn->mutations.push_back(m);
-    } else if (tag == "pr") {
-      if (fn == nullptr) {
-        return false;
-      }
-      PrimitiveSite p;
-      ls >> p.line >> p.needs_reason >> p.rule;
-      std::getline(ls, p.detail);
-      if (!p.detail.empty() && p.detail.front() == ' ') {
-        p.detail.erase(p.detail.begin());
-      }
-      fn->primitives.push_back(p);
-    } else if (!tag.empty()) {
-      return false;
-    }
-    if (!ls && tag != "pr") {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace analyze

@@ -1,14 +1,25 @@
-// coyote-verify interprocedural simulation-context analyzer.
+// coyote-verify static analyzer: the one static-analysis tool of the repo.
 //
-// The determinism lint (tools/coyote_lint) checks one line at a time and the
-// runtime AccessGuard checks one execution at a time. This tool closes the
-// gap between them: it indexes the whole repository into a function/method
-// symbol table and call graph, classifies *contexts* — which functions are
-// event-callback bodies (passed to sim::Engine::ScheduleAt/ScheduleAfter,
-// ShardedEngine::Post, TimerWheel, or shard worker bodies), which are
-// control-plane host code, which are test-only — propagates those contexts
-// transitively through the call graph, and then enforces the simulator's
-// context rules *interprocedurally*:
+// It walks the tree once, lexes each file once (on the shared token-level
+// frontend, tools/coyote_frontend) and runs two kinds of rule over the result.
+//
+// Per-file rules check one file at a time, on every file the walk finds:
+//
+//   nondet              no ambient randomness or wall-clock reads
+//   unordered-iter      no iteration over unordered containers
+//   raw-alloc           no raw new/delete outside allocator shims
+//   blocking            no blocking syscalls or thread primitives
+//   wall-clock          src/ keeps time with sim::Engine::Now()
+//   header-guard        headers carry a canonical path-derived include guard
+//   using-ns-header     no `using namespace` in headers
+//   hot-copy            no by-value payload parameters on packet hot paths
+//
+// Context rules work on the whole repository. The analyzer indexes it into a
+// function/method symbol table and call graph and classifies *contexts*:
+// which functions are event-callback bodies (passed to
+// sim::Engine::ScheduleAt/ScheduleAfter, ShardedEngine::Post, TimerWheel, or
+// shard worker bodies) and which run in simulation context. It propagates
+// those contexts transitively through the call graph and enforces:
 //
 //   callback-blocking   nothing reachable from an event callback may block:
 //                       no sleeps, no mutex/condvar acquisition, no IO, no
@@ -29,14 +40,17 @@
 //                       *with a written reason* — the static mirror of the
 //                       runtime race detector's state inventory.
 //
-// Findings come with a full call-chain trace ("callback → A() → B() →
-// std::unordered_map iteration"), so the report names not just the offending
-// line but the path by which callback context reaches it. Suppressions use
-// the same `// lint: <tag>` comment syntax as coyote_lint, written at the
-// *primitive* site (the deepest frame of the chain).
+// Code under tests/, bench/, examples/ and tools/ is test context: the
+// per-file rules check it, but its functions are not call-graph nodes, so a
+// harness may sleep, print and read the wall clock.
 //
-// Like the linter, the analyzer is heuristic by design: it is built on the
-// shared token-level frontend (tools/coyote_frontend), not a compiler. The
+// Context findings come with a full call-chain trace ("callback → A() → B()
+// → std::unordered_map iteration"), so the report names not just the
+// offending line but the path by which callback context reaches it. Every
+// rule is suppressed with a `// lint: <tag>` comment; context-rule tags are
+// written at the *primitive* site (the deepest frame of the chain).
+//
+// The analyzer is heuristic by design: it tokenizes, it does not compile. The
 // function indexer understands namespaces, classes, out-of-line methods and
 // lambdas; it does not do template instantiation or overload resolution, so
 // calls resolve by name (same-class methods first, then free functions, then
@@ -48,17 +62,15 @@
 #define TOOLS_COYOTE_ANALYZE_ANALYZE_H_
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
+
+#include "tools/coyote_frontend/frontend.h"
 
 namespace coyote {
 namespace analyze {
 
-// One source file by (project-relative) path and content.
-using SourceFile = std::pair<std::string, std::string>;
+using frontend::SourceFile;
 
 // --- Index entities ---------------------------------------------------------
 
@@ -140,15 +152,17 @@ struct GlobalInfo {
   bool has_reason = false;
 };
 
-// Everything extracted from one file. Self-contained so the index cache can
-// reuse it whenever the file's content hash is unchanged.
+// Everything extracted from one file, plus its token stream for the
+// per-file rules.
 struct FileIndex {
   std::string path;
-  uint64_t fnv = 0;
+  frontend::LexedFile lexed;
   std::vector<FunctionInfo> functions;
   std::vector<ClassInfo> classes;
   std::vector<GlobalInfo> globals;
-  std::vector<std::string> unordered_names;  // unordered containers declared here
+  // Names declared here with an unordered container type (variables,
+  // members, functions returning one, `using` aliases).
+  std::vector<std::string> unordered_names;
 };
 
 struct Index {
@@ -157,13 +171,14 @@ struct Index {
 
 // --- Analysis ---------------------------------------------------------------
 
+// One finding. Per-file rules leave `chain` empty; context rules fill it with
+// the interprocedural trace, outermost first: "<context> root F (file:line)",
+// then one entry per call edge, ending at the primitive.
 struct Finding {
   std::string file;
   uint32_t line = 0;
   std::string rule;
   std::string message;
-  // Interprocedural trace, outermost first: "<context> root F (file:line)",
-  // then one entry per call edge, ending at the primitive.
   std::vector<std::string> chain;
   std::string ChainString() const;  // "callback → A() → B() → <detail>"
 };
@@ -174,41 +189,32 @@ struct Options {
 };
 
 struct RuleInfo {
-  std::string id;
-  std::string suppression;
+  std::string id;           // e.g. "nondet"
+  std::string suppression;  // e.g. "nondet-ok" -> written as "// lint: nondet-ok"
   std::string summary;
 };
 
+// The rule table: the eight per-file rules, then the four context rules.
 const std::vector<RuleInfo>& Rules();
 
-// Indexes in-memory sources (lex, function/lambda extraction, call sites,
-// primitives, class inventories).
+// Lexes and indexes in-memory sources (function/lambda extraction, call
+// sites, primitives, class inventories, unordered-container names).
 Index BuildIndex(const std::vector<SourceFile>& files);
 
-// Call-graph assembly + context propagation + rule evaluation. Findings are
-// deterministic: ordered by (file, line, rule, message).
+// Reads `relative_paths` under `root_dir` (frontend::ReadFiles) and indexes
+// them. Paths in findings are relative to `root_dir`.
+Index IndexPaths(const std::string& root_dir, const std::vector<std::string>& relative_paths);
+
+// Runs every enabled rule: the per-file rules on each file (against the
+// project-wide unordered-name table), then call-graph assembly, context
+// propagation and the context rules. Findings are deterministic: ordered by
+// (file, line, rule, message).
 std::vector<Finding> Analyze(const Index& index, const Options& options);
 
 // Formats findings the way the CLI and the CI artifact print them: one
 // `path:line: [rule] message` line followed by indented chain lines, then a
 // `coyote_analyze: N finding(s)` summary. Stable across runs and machines.
 std::string FormatReport(const std::vector<Finding>& findings);
-
-// --- Index cache ------------------------------------------------------------
-
-// Text serialization of an Index. Load returns false on missing/ malformed /
-// version-mismatched cache (callers just rebuild). BuildIndexCached reuses
-// the cached FileIndex for every file whose FNV-1a content hash is
-// unchanged, re-indexes the rest, and returns the fresh index; pass the
-// result to SaveIndex to refresh the cache.
-bool SaveIndex(const Index& index, const std::string& path);
-bool LoadIndex(const std::string& path, Index* index);
-Index BuildIndexCached(const std::vector<SourceFile>& files, const Index& cached);
-
-// Convenience: read `relative_paths` under `root_dir` (frontend::ReadFiles)
-// and index them, consulting `cache_path` when non-empty (read + refresh).
-Index IndexPaths(const std::string& root_dir, const std::vector<std::string>& relative_paths,
-                 const std::string& cache_path);
 
 }  // namespace analyze
 }  // namespace coyote

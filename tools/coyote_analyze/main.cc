@@ -1,14 +1,16 @@
-// coyote_analyze CLI: interprocedural simulation-context analysis.
+// coyote_analyze CLI: the per-file rules and the interprocedural context
+// rules over the project tree.
 //
-//   coyote_analyze --root <repo> src
-//   coyote_analyze --root <repo> --index-cache build/analyze.index src
-//   coyote_analyze --root <repo> --report build/analyze-report.txt src
+//   coyote_analyze --root <repo> src tests bench examples tools
+//   coyote_analyze --root <repo> --rule nondet --rule sim-nondet src
+//   coyote_analyze --root <repo> --report build/analyze-report.txt
 //   coyote_analyze --list-rules
 //
 // Exit codes: 0 clean, 1 findings, 2 usage error. The report (stdout and,
 // with --report, a file for the CI artifact) prints one finding as
-// `path:line: [rule] message` followed by the indented interprocedural
-// call-chain trace, ending with a stable summary line.
+// `path:line: [rule] message`, a context-rule finding followed by its
+// indented interprocedural call-chain trace, ending with a stable summary
+// line.
 
 #include <cstdio>
 #include <fstream>
@@ -23,28 +25,27 @@ namespace {
 void PrintUsage() {
   std::fprintf(
       stderr,
-      "usage: coyote_analyze [--root DIR] [--index-cache FILE] [--report FILE]\n"
-      "                      [--rule ID]... [--list-rules] [path...]\n"
-      "  --root DIR         project root; findings are reported relative to it (default .)\n"
-      "  --index-cache FILE reuse per-file index entries whose content hash is unchanged\n"
-      "  --report FILE      also write the findings report to FILE\n"
-      "  --rule ID          run only the named rule (repeatable)\n"
-      "  --list-rules       print the rule table and exit\n"
-      "  path               files or directories under --root (default: src)\n");
+      "usage: coyote_analyze [--root DIR] [--report FILE] [--rule ID]... [--list-rules]\n"
+      "                      [path...]\n"
+      "  --root DIR     project root; findings are reported relative to it (default .)\n"
+      "  --report FILE  also write the findings report to FILE\n"
+      "  --rule ID      run only the named rule (repeatable)\n"
+      "  --list-rules   print the rule table and exit\n"
+      "  path           files or directories under --root\n"
+      "                 (default: src tests bench examples tools)\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string cache_path;
   std::string report_path;
   coyote::analyze::Options options;
   std::vector<std::string> paths;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--root" || arg == "--index-cache" || arg == "--report" || arg == "--rule") {
+    if (arg == "--root" || arg == "--report" || arg == "--rule") {
       if (i + 1 >= argc) {
         PrintUsage();
         return 2;
@@ -52,8 +53,6 @@ int main(int argc, char** argv) {
       const std::string value = argv[++i];
       if (arg == "--root") {
         root = value;
-      } else if (arg == "--index-cache") {
-        cache_path = value;
       } else if (arg == "--report") {
         report_path = value;
       } else {
@@ -77,7 +76,7 @@ int main(int argc, char** argv) {
     }
   }
   if (paths.empty()) {
-    paths = {"src"};
+    paths = {"src", "tests", "bench", "examples", "tools"};
   }
 
   const auto files = coyote::frontend::CollectFiles(root, paths);
@@ -86,7 +85,7 @@ int main(int argc, char** argv) {
                  root.c_str());
     return 2;
   }
-  const auto index = coyote::analyze::IndexPaths(root, files, cache_path);
+  const auto index = coyote::analyze::IndexPaths(root, files);
   const auto findings = coyote::analyze::Analyze(index, options);
   const std::string report = coyote::analyze::FormatReport(findings);
   std::fputs(report.c_str(), stdout);

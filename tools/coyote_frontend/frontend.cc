@@ -175,18 +175,23 @@ LexedFile Lex(const std::string& src) {
 namespace {
 
 // The candidate lines a suppression for a finding at `line` may sit on: the
-// line itself, the line above, and — when the finding sits on a continuation
-// line of a multi-line statement — the statement's first line and the line
-// above that.
+// line itself, a comment-only line directly above, and — when the finding
+// sits on a continuation line of a multi-line statement — the statement's
+// first line and a comment-only line directly above that. A comment that
+// trails code covers only its own line, so a tag on one line never silences
+// the next one.
 std::vector<uint32_t> SuppressionLines(const LexedFile& lexed, uint32_t line) {
+  const auto comment_only_above = [&lexed](uint32_t l) {
+    return l > 1 && lexed.stmt_start.count(l - 1) == 0;
+  };
   std::vector<uint32_t> lines = {line};
-  if (line > 1) {
+  if (comment_only_above(line)) {
     lines.push_back(line - 1);
   }
   auto it = lexed.stmt_start.find(line);
   if (it != lexed.stmt_start.end() && it->second != line) {
     lines.push_back(it->second);
-    if (it->second > 1) {
+    if (comment_only_above(it->second)) {
       lines.push_back(it->second - 1);
     }
   }
@@ -358,15 +363,6 @@ std::vector<SourceFile> ReadFiles(const std::string& root_dir,
     files.emplace_back(rel, content.str());
   }
   return files;
-}
-
-uint64_t Fnv1a(const std::string& data) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 }  // namespace frontend

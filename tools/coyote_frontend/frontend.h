@@ -1,18 +1,17 @@
-// coyote-verify shared frontend: the lexical layer under coyote_lint and
-// coyote_analyze.
+// coyote-verify shared frontend: the lexical layer under coyote_analyze.
 //
-// Both tools work from the same view of a C++ source file: a token stream
+// Every rule works from the same view of a C++ source file: a token stream
 // with comments and literals stripped out, a per-line comment map (the
 // suppression comments live there), and a statement-start map so that a
 // suppression written above a statement also covers violations reported on
-// the statement's continuation lines. Keeping this in one library guarantees
-// the two tools agree on what is code, what is comment, and what a
-// suppression covers — a `// lint: <tag>` means the same thing to the
-// token-level linter and to the interprocedural analyzer.
+// the statement's continuation lines. So the per-file rules and the
+// interprocedural context rules agree on what is code, what is comment, and
+// what a suppression covers — a `// lint: <tag>` means the same thing to
+// each of them.
 //
 // The frontend is deliberately not a compiler: it tokenizes, it does not
-// build an AST. Tools layer their own structure (the linter per-line rules,
-// the analyzer a function index and call graph) on top of the token stream.
+// build an AST. The analyzer layers its own structure (per-file token rules,
+// a function index and call graph) on top of the token stream.
 
 #ifndef TOOLS_COYOTE_FRONTEND_FRONTEND_H_
 #define TOOLS_COYOTE_FRONTEND_FRONTEND_H_
@@ -60,9 +59,11 @@ using SourceFile = std::pair<std::string, std::string>;
 LexedFile Lex(const std::string& src);
 
 // True when a finding at `line` is suppressed by a comment containing
-// "lint:" and `tag` on that line, the line above, the first line of the
-// enclosing statement, or the line above that (so suppressions keep working
-// when the offending token sits on a continuation line).
+// "lint:" and `tag` on that line, on a comment-only line directly above it,
+// on the first line of the enclosing statement, or on a comment-only line
+// directly above that (so suppressions keep working when the offending token
+// sits on a continuation line). A comment trailing code covers only its own
+// line.
 bool Suppressed(const LexedFile& lexed, uint32_t line, const std::string& tag);
 
 // Like Suppressed, but also returns the free text following the tag in the
@@ -76,7 +77,7 @@ bool SuppressedWithReason(const LexedFile& lexed, uint32_t line, const std::stri
 // `// lint: host-boundary`. Mentions past the first code line are prose.
 bool HasFileAnnotation(const LexedFile& lexed, const std::string& tag);
 
-// --- Token helpers shared by the tools --------------------------------------
+// --- Token helpers shared by the rules --------------------------------------
 
 bool IsHeaderPath(const std::string& path);
 
@@ -94,8 +95,7 @@ bool PrevIsMemberAccess(const std::vector<Token>& toks, size_t i);
 const std::set<std::string>& CallPrefixKeywords();
 
 // Keywords that can never be function names in a call graph (control flow,
-// cast-ish constructs). Shared by the linter's call heuristic and the
-// analyzer's call-site collection.
+// cast-ish constructs): not call sites, not function definitions.
 const std::set<std::string>& NonCallKeywords();
 
 // True when toks[i] looks like a call of a *free* function: followed by "(",
@@ -118,10 +118,6 @@ std::vector<std::string> CollectFiles(const std::string& root_dir,
 // Reads `relative_paths` under `root_dir` into (path, content) pairs.
 std::vector<SourceFile> ReadFiles(const std::string& root_dir,
                                   const std::vector<std::string>& relative_paths);
-
-// FNV-1a over a string — the fingerprint primitive for the analyzer's index
-// cache (and deterministic by construction).
-uint64_t Fnv1a(const std::string& data);
 
 }  // namespace frontend
 }  // namespace coyote
