@@ -1,29 +1,43 @@
-// Tests for the coyote-verify determinism lint (tools/coyote_lint).
+// Tests for the per-file rules of the coyote-verify static analyzer
+// (tools/coyote_analyze): nondet, unordered-iter, raw-alloc, blocking,
+// wall-clock, header-guard, using-ns-header and hot-copy.
 //
-// Two layers: fixture files on disk (tests/lint_fixtures/, excluded from the
-// repo-wide walk) prove each rule fires on realistic bad code and that the
-// per-rule suppression comments silence it; in-memory sources pin down the
-// trickier tokenizer behaviors (comments, strings, member access, the
-// project-wide unordered-name symbol table).
+// Two layers: fixture files on disk (tests/lint_fixtures/, a directory the
+// repo-wide walk skips; its src/... subpaths matter to the path-scoped
+// wall-clock and hot-copy rules) prove each rule fires on realistic bad code
+// and that its suppression comment silences it; in-memory sources pin down
+// the trickier tokenizer behaviors (comments, strings, member access,
+// trailing tags) and the project-wide unordered-name table. The context rules
+// are tested in analyzer_test.cc.
 
-#include "tools/coyote_lint/lint.h"
+#include "tools/coyote_analyze/analyze.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tools/coyote_frontend/frontend.h"
+
 namespace coyote {
-namespace lint {
+namespace analyze {
 namespace {
 
 #ifndef LINT_FIXTURE_DIR
 #error "LINT_FIXTURE_DIR must be defined by the build"
 #endif
+#ifndef PROJECT_SOURCE_DIR
+#error "PROJECT_SOURCE_DIR must be defined by the build"
+#endif
 
 std::vector<Finding> LintFixture(const std::string& name) {
-  return LintPaths(LINT_FIXTURE_DIR, {name}, Options{});
+  return Analyze(IndexPaths(LINT_FIXTURE_DIR, {name}), Options{});
+}
+
+std::vector<Finding> AnalyzeSnippet(const std::string& path, const std::string& content) {
+  return Analyze(BuildIndex({{path, content}}), Options{});
 }
 
 bool HasRule(const std::vector<Finding>& findings, const std::string& rule) {
@@ -33,14 +47,12 @@ bool HasRule(const std::vector<Finding>& findings, const std::string& rule) {
 
 bool HasRuleAtLine(const std::vector<Finding>& findings, const std::string& rule,
                    uint32_t line) {
-  return std::any_of(findings.begin(), findings.end(), [&](const Finding& f) {
+  return std::any_of(findings.begin(), findings.end(), [&rule, line](const Finding& f) {
     return f.rule == rule && f.line == line;
   });
 }
 
-std::vector<Finding> LintSnippet(const std::string& path, const std::string& content) {
-  return LintProject({{path, content}}, Options{});
-}
+// --- Rule fixtures -----------------------------------------------------------
 
 TEST(LintFixtures, NondetRuleFiresOnEveryBannedForm) {
   const auto findings = LintFixture("bad_nondet.cc");
@@ -85,7 +97,7 @@ TEST(LintFixtures, WallClockRuleFiresInSimulatorSources) {
 TEST(LintFixtures, WallClockRuleIgnoresNonSrcPaths) {
   // Identical content outside src/: bench/tests own their wall-clock policy.
   const auto findings =
-      LintSnippet("bench/timing.cc", "long Now() {\n"
+      AnalyzeSnippet("bench/timing.cc", "long Now() {\n"
                                      "  return std::chrono::steady_clock::now()\n"
                                      "      .time_since_epoch().count();\n"
                                      "}\n");
@@ -131,8 +143,8 @@ TEST(LintFixtures, CleanCodeProducesNoFindings) {
 TEST(LintFixtures, RuleFilterRunsOnlySelectedRules) {
   Options only_alloc;
   only_alloc.rules = {"raw-alloc"};
-  const auto findings = LintPaths(LINT_FIXTURE_DIR, {"bad_nondet.cc", "bad_alloc.cc"},
-                                  only_alloc);
+  const auto findings =
+      Analyze(IndexPaths(LINT_FIXTURE_DIR, {"bad_nondet.cc", "bad_alloc.cc"}), only_alloc);
   EXPECT_FALSE(findings.empty());
   for (const auto& f : findings) {
     EXPECT_EQ(f.rule, "raw-alloc");
@@ -142,7 +154,7 @@ TEST(LintFixtures, RuleFilterRunsOnlySelectedRules) {
 // --- Tokenizer behaviors -----------------------------------------------------
 
 TEST(LintTokenizer, CommentsAndStringsAreNotCode) {
-  const auto findings = LintSnippet("t.cc",
+  const auto findings = AnalyzeSnippet("t.cc",
                                     "// rand() in a comment\n"
                                     "/* srand(1); time(nullptr); */\n"
                                     "const char* s = \"rand() getenv\";\n");
@@ -152,7 +164,7 @@ TEST(LintTokenizer, CommentsAndStringsAreNotCode) {
 TEST(LintTokenizer, MemberAccessIsNotACall) {
   // Engine events carry a `.time` field; member access must not trip the
   // wall-clock ban, and a declaration `Type rand(` is not a call either.
-  const auto findings = LintSnippet("t.cc",
+  const auto findings = AnalyzeSnippet("t.cc",
                                     "struct Ev { long time; };\n"
                                     "long F(Ev e) { return e.time; }\n"
                                     "long G(Ev* e) { return e->time; }\n");
@@ -160,13 +172,13 @@ TEST(LintTokenizer, MemberAccessIsNotACall) {
 }
 
 TEST(LintTokenizer, StdQualifiedCallIsStillACall) {
-  const auto findings = LintSnippet("t.cc", "long F() { return std::time(nullptr); }\n");
+  const auto findings = AnalyzeSnippet("t.cc", "long F() { return std::time(nullptr); }\n");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "nondet");
 }
 
 TEST(LintTokenizer, DeletedFunctionsAreNotRawDelete) {
-  const auto findings = LintSnippet("t.h",
+  const auto findings = AnalyzeSnippet("t.h",
                                     "#ifndef T_H_\n#define T_H_\n"
                                     "struct S {\n"
                                     "  S(const S&) = delete;\n"
@@ -174,6 +186,19 @@ TEST(LintTokenizer, DeletedFunctionsAreNotRawDelete) {
                                     "};\n"
                                     "#endif  // T_H_\n");
   EXPECT_TRUE(findings.empty());
+}
+
+TEST(LintTokenizer, TrailingTagCoversOnlyItsOwnLine) {
+  // A tag trailing code on one line must not also silence the next line;
+  // only a comment-only line covers the line below it.
+  const auto findings = AnalyzeSnippet("t.cc",
+                                       "#include <mutex>  // lint: blocking-ok\n"
+                                       "#include <thread>\n"
+                                       "// lint: blocking-ok\n"
+                                       "#include <future>\n");
+  ASSERT_EQ(findings.size(), 1u) << FormatReport(findings);
+  EXPECT_EQ(findings[0].rule, "blocking");
+  EXPECT_EQ(findings[0].line, 2u);
 }
 
 TEST(LintSymbols, UnorderedNamesAreCollectedAcrossFiles) {
@@ -188,14 +213,14 @@ TEST(LintSymbols, UnorderedNamesAreCollectedAcrossFiles) {
       {"s.cc",
        "#include \"s.h\"\n"
        "int Sum(S& s) { int n = 0; for (auto& [k, v] : s.lookup_) n += v; return n; }\n"}};
-  const auto findings = LintProject(files, Options{});
+  const auto findings = Analyze(BuildIndex(files), Options{});
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "unordered-iter");
   EXPECT_EQ(findings[0].file, "s.cc");
 }
 
 TEST(LintSymbols, OrderedMapIterationIsFine) {
-  const auto findings = LintSnippet(
+  const auto findings = AnalyzeSnippet(
       "t.cc",
       "#include <map>\nint F() { std::map<int, int> m; int n = 0;\n"
       "for (auto& [k, v] : m) n += v; return n; }\n");
@@ -222,44 +247,23 @@ TEST(LintRules, HotCopyOnlyAppliesToHotPathDirectories) {
   const std::string source =
       "struct StreamPacket { int x; };\n"
       "void Deliver(StreamPacket pkt);\n";
-  EXPECT_TRUE(LintSnippet("src/runtime/cold.cc", source).empty());
-  EXPECT_TRUE(LintSnippet("tests/some_test.cc", source).empty());
-  EXPECT_EQ(LintSnippet("src/net/hot.cc", source).size(), 1u);
-  EXPECT_EQ(LintSnippet("src/memsys/hot.cc", source).size(), 1u);
-}
-
-TEST(LintRules, RuleTableExposesSuppressionsForEveryRule) {
-  const auto& rules = Rules();
-  ASSERT_GE(rules.size(), 6u);
-  for (const auto& rule : rules) {
-    EXPECT_FALSE(rule.id.empty());
-    EXPECT_FALSE(rule.suppression.empty()) << rule.id;
-    EXPECT_FALSE(rule.summary.empty()) << rule.id;
-  }
+  EXPECT_TRUE(AnalyzeSnippet("src/runtime/cold.cc", source).empty());
+  EXPECT_TRUE(AnalyzeSnippet("tests/some_test.cc", source).empty());
+  EXPECT_EQ(AnalyzeSnippet("src/net/hot.cc", source).size(), 1u);
+  EXPECT_EQ(AnalyzeSnippet("src/memsys/hot.cc", source).size(), 1u);
 }
 
 TEST(LintWalk, CollectSkipsFixtureAndBuildDirectories) {
-  // Walking the real tests/ directory must not pick up lint_fixtures/.
-  const auto files = CollectFiles(PROJECT_SOURCE_DIR, {"tests"});
+  // Walking the real tests/ directory must not pick up either fixture dir.
+  const auto files = frontend::CollectFiles(PROJECT_SOURCE_DIR, {"tests"});
   EXPECT_FALSE(files.empty());
   for (const auto& f : files) {
     EXPECT_EQ(f.find("lint_fixtures"), std::string::npos) << f;
+    EXPECT_EQ(f.find("analyzer_fixtures"), std::string::npos) << f;
     EXPECT_EQ(f.find("CMakeFiles"), std::string::npos) << f;
   }
 }
 
-TEST(LintRepo, WholeTreeIsClean) {
-  // The acceptance gate, in-process: src/, tests/, bench/, examples/ and the
-  // lint tool itself produce zero findings.
-  const auto files = CollectFiles(PROJECT_SOURCE_DIR,
-                                  {"src", "tests", "bench", "examples", "tools"});
-  ASSERT_GT(files.size(), 100u);
-  const auto findings = LintPaths(PROJECT_SOURCE_DIR, files, Options{});
-  for (const auto& f : findings) {
-    ADD_FAILURE() << f.file << ":" << f.line << ": [" << f.rule << "] " << f.message;
-  }
-}
-
 }  // namespace
-}  // namespace lint
+}  // namespace analyze
 }  // namespace coyote

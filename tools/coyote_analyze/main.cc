@@ -12,6 +12,7 @@
 // indented interprocedural call-chain trace, ending with a stable summary
 // line.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -29,7 +30,7 @@ void PrintUsage() {
       "                      [path...]\n"
       "  --root DIR     project root; findings are reported relative to it (default .)\n"
       "  --report FILE  also write the findings report to FILE\n"
-      "  --rule ID      run only the named rule (repeatable)\n"
+      "  --rule ID      run only the named rule (repeatable; unknown ids are an error)\n"
       "  --list-rules   print the rule table and exit\n"
       "  path           files or directories under --root\n"
       "                 (default: src tests bench examples tools)\n");
@@ -73,6 +74,14 @@ int main(int argc, char** argv) {
       return 2;
     } else {
       paths.push_back(arg);
+    }
+  }
+  const auto& rules = coyote::analyze::Rules();
+  for (const std::string& id : options.rules) {
+    if (std::none_of(rules.begin(), rules.end(),
+                     [&id](const coyote::analyze::RuleInfo& rule) { return rule.id == id; })) {
+      std::fprintf(stderr, "coyote_analyze: unknown rule '%s' (see --list-rules)\n", id.c_str());
+      return 2;
     }
   }
   if (paths.empty()) {
