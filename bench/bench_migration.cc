@@ -117,7 +117,8 @@ Metrics RunPlanned(uint32_t num_shards) {
   std::vector<uint32_t> ids;
   for (uint32_t i = 0; i < 3; ++i) {
     TenantSpec spec;
-    spec.name = "p" + std::to_string(i);
+    spec.name = "p";
+    spec.name += std::to_string(i);
     spec.home_node = i;
     spec.items_total = 20;
     ids.push_back(fleet.AddTenant(spec));
@@ -140,7 +141,8 @@ Metrics RunKillOneNode(uint32_t num_shards) {
   std::vector<uint32_t> ids;
   for (uint32_t i = 0; i < 4; ++i) {
     TenantSpec spec;
-    spec.name = "k" + std::to_string(i);
+    spec.name = "k";
+    spec.name += std::to_string(i);
     spec.home_node = i < 2 ? 0 : i - 1;
     spec.items_total = 30;
     spec.think_time = sim::Microseconds(25);

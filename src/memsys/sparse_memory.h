@@ -47,7 +47,7 @@ class SparseMemory {
       if (it == chunks_.end()) {
         std::memset(p, 0, n);  // untouched memory reads as zero
       } else {
-        std::memcpy(p, it->second.get() + off, n);
+        std::memcpy(p, it->second + off, n);
       }
       addr += n;
       p += n;
@@ -75,19 +75,33 @@ class SparseMemory {
   uint64_t resident_bytes() const { return chunks_.size() * kChunkBytes; }
 
  private:
+  // Chunks are carved from slabs that double from one chunk up to 256 (16
+  // MiB): a sparsely touched memory stays small, a dense one makes one
+  // allocation per 16 MiB, and freeing it returns a few large runs to the
+  // heap rather than 64 KiB pieces that later small allocations split.
+  static constexpr uint64_t kSlabChunks = 256;
+
   uint8_t* ChunkFor(uint64_t chunk) {
     auto it = chunks_.find(chunk);
     if (it == chunks_.end()) {
       guard_.Write();
-      auto buf = std::make_unique<uint8_t[]>(kChunkBytes);
-      std::memset(buf.get(), 0, kChunkBytes);
-      it = chunks_.emplace(chunk, std::move(buf)).first;
+      if (slab_used_ == slab_chunks_) {
+        slab_chunks_ = slabs_.empty() ? 1 : std::min<uint64_t>(slab_chunks_ * 2, kSlabChunks);
+        slabs_.push_back(std::make_unique_for_overwrite<uint8_t[]>(slab_chunks_ * kChunkBytes));
+        slab_used_ = 0;
+      }
+      uint8_t* buf = slabs_.back().get() + slab_used_++ * kChunkBytes;
+      std::memset(buf, 0, kChunkBytes);
+      it = chunks_.emplace(chunk, buf).first;
     }
-    return it->second.get();
+    return it->second;
   }
 
   sim::AccessGuard guard_{"memsys.sparse_memory"};
-  std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> chunks_;
+  std::vector<std::unique_ptr<uint8_t[]>> slabs_;
+  uint64_t slab_chunks_ = 0;  // size of slabs_.back()
+  uint64_t slab_used_ = 0;    // chunks handed out from slabs_.back()
+  std::unordered_map<uint64_t, uint8_t*> chunks_;
 };
 
 }  // namespace memsys

@@ -1,6 +1,7 @@
 #include "src/net/roce.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/sim/fault.h"
 
@@ -45,24 +46,16 @@ bool RoceStack::ResetQp(uint32_t qpn) {
   if (it == qps_.end()) {
     return false;
   }
+  // Rebuild from a fresh Qp so no requester or responder field can survive.
+  // The generation moves past the old one so a pending retransmit timer
+  // cannot match a reused value.
   Qp& qp = it->second;
-  // Requester state: drain the SQ and restart the PSN space.
-  qp.send_psn = 0;
-  qp.unacked.clear();
-  qp.completions.clear();
-  qp.reads.clear();
-  ++qp.timer_generation;  // cancel any pending retransmit timer
-  qp.cur_timeout = 0;
-  qp.consecutive_timeouts = 0;
-  // Responder state: expect a fresh message stream from the re-inited peer.
-  qp.expected_psn = 0;
-  qp.write_cursor_vaddr = 0;
-  qp.write_msg_start = 0;
-  qp.write_msg_bytes = 0;
-  qp.recv_accum.clear();
-  qp.frames_since_ack = 0;
-  qp.wedged = false;
-  qp.state = QpState::kInit;
+  Qp fresh;
+  fresh.local_qpn = qp.local_qpn;
+  fresh.timer_generation = qp.timer_generation + 1;
+  fresh.recv_handler = std::move(qp.recv_handler);
+  fresh.write_arrival_handler = std::move(qp.write_arrival_handler);
+  qp = std::move(fresh);
   ++qp_resets_;
   return true;
 }
@@ -133,6 +126,53 @@ void RoceStack::TransmitFrame(Qp& qp, const FrameMeta& meta,
   });
 }
 
+uint32_t RoceStack::FrameCount(uint64_t bytes) const {
+  return static_cast<uint32_t>(std::max<uint64_t>(1, (bytes + config_.mtu - 1) / config_.mtu));
+}
+
+void RoceStack::SendMessage(Qp& qp, const OpcodeFamily& family, uint32_t first_psn,
+                            uint64_t vaddr, uint64_t bytes, uint64_t remote_vaddr,
+                            Completion done) {
+  const bool request = family.only != Opcode::kReadResponseOnly;
+  const uint32_t n_frames = FrameCount(bytes);
+  // Read the whole message out of virtual memory once; every MTU frame (and
+  // its go-back-N window entry) is a zero-copy slice of this buffer.
+  axi::BufferView message;
+  message.resize(bytes);
+  if (bytes > 0) {
+    svm_->ReadVirtual(vaddr, message.data(), bytes);
+  }
+  uint64_t off = 0;
+  for (uint32_t i = 0; i < n_frames; ++i) {
+    const uint64_t n = std::min<uint64_t>(config_.mtu, bytes - off);
+    FrameMeta m = BaseMeta(qp);
+    m.psn = first_psn + i;
+    if (n_frames == 1) {
+      m.opcode = family.only;
+    } else if (i == 0) {
+      m.opcode = family.first;
+    } else if (i + 1 == n_frames) {
+      m.opcode = family.last;
+    } else {
+      m.opcode = family.middle;
+    }
+    if (OpcodeHasReth(m.opcode)) {
+      m.reth_vaddr = remote_vaddr;
+      m.reth_len = static_cast<uint32_t>(bytes);
+    }
+    if (request) {
+      m.ack_req = i + 1 == n_frames;
+      if (m.ack_req) {
+        qp.wrs[m.psn].done = std::move(done);
+      }
+    } else {
+      m.aeth_msn = m.psn & 0x00FFFFFF;
+    }
+    TransmitFrame(qp, m, message.Slice(off, n), /*track_for_retransmit=*/request);
+    off += n;
+  }
+}
+
 void RoceStack::PostWrite(uint32_t qpn, uint64_t local_vaddr, uint64_t remote_vaddr,
                           uint64_t bytes, Completion done) {
   qp_guard_.Write();
@@ -140,41 +180,9 @@ void RoceStack::PostWrite(uint32_t qpn, uint64_t local_vaddr, uint64_t remote_va
   if (!AdmitPost(qp, done)) {
     return;
   }
-  const uint64_t n_frames = std::max<uint64_t>(1, (bytes + config_.mtu - 1) / config_.mtu);
-  // Read the whole message out of virtual memory once; every MTU frame (and
-  // its go-back-N window entry) is a zero-copy slice of this buffer.
-  axi::BufferView message;
-  message.resize(bytes);
-  if (bytes > 0) {
-    svm_->ReadVirtual(local_vaddr, message.data(), bytes);
-  }
-  uint64_t off = 0;
-  for (uint64_t i = 0; i < n_frames; ++i) {
-    const uint64_t n = std::min<uint64_t>(config_.mtu, bytes - off);
-    FrameMeta m = BaseMeta(qp);
-    m.psn = qp.send_psn++;
-    if (n_frames == 1) {
-      m.opcode = Opcode::kWriteOnly;
-    } else if (i == 0) {
-      m.opcode = Opcode::kWriteFirst;
-    } else if (i + 1 == n_frames) {
-      m.opcode = Opcode::kWriteLast;
-    } else {
-      m.opcode = Opcode::kWriteMiddle;
-    }
-    if (OpcodeHasReth(m.opcode)) {
-      m.reth_vaddr = remote_vaddr;
-      m.reth_len = static_cast<uint32_t>(bytes);
-    }
-    m.ack_req = OpcodeIsLastOrOnly(m.opcode);
-
-    if (OpcodeIsLastOrOnly(m.opcode) && done) {
-      qp.completions[m.psn] = std::move(done);
-      done = nullptr;
-    }
-    TransmitFrame(qp, m, message.Slice(off, n), /*track_for_retransmit=*/true);
-    off += n;
-  }
+  const uint32_t first_psn = qp.send_psn;
+  qp.send_psn += FrameCount(bytes);
+  SendMessage(qp, kWriteFamily, first_psn, local_vaddr, bytes, remote_vaddr, std::move(done));
 }
 
 void RoceStack::PostSend(uint32_t qpn, uint64_t local_vaddr, uint64_t bytes, Completion done) {
@@ -183,36 +191,9 @@ void RoceStack::PostSend(uint32_t qpn, uint64_t local_vaddr, uint64_t bytes, Com
   if (!AdmitPost(qp, done)) {
     return;
   }
-  const uint64_t n_frames = std::max<uint64_t>(1, (bytes + config_.mtu - 1) / config_.mtu);
-  // Single bulk read; per-MTU frames slice it (see PostWrite).
-  axi::BufferView message;
-  message.resize(bytes);
-  if (bytes > 0) {
-    svm_->ReadVirtual(local_vaddr, message.data(), bytes);
-  }
-  uint64_t off = 0;
-  for (uint64_t i = 0; i < n_frames; ++i) {
-    const uint64_t n = std::min<uint64_t>(config_.mtu, bytes - off);
-    FrameMeta m = BaseMeta(qp);
-    m.psn = qp.send_psn++;
-    if (n_frames == 1) {
-      m.opcode = Opcode::kSendOnly;
-    } else if (i == 0) {
-      m.opcode = Opcode::kSendFirst;
-    } else if (i + 1 == n_frames) {
-      m.opcode = Opcode::kSendLast;
-    } else {
-      m.opcode = Opcode::kSendMiddle;
-    }
-    m.ack_req = OpcodeIsLastOrOnly(m.opcode);
-
-    if (OpcodeIsLastOrOnly(m.opcode) && done) {
-      qp.completions[m.psn] = std::move(done);
-      done = nullptr;
-    }
-    TransmitFrame(qp, m, message.Slice(off, n), /*track_for_retransmit=*/true);
-    off += n;
-  }
+  const uint32_t first_psn = qp.send_psn;
+  qp.send_psn += FrameCount(bytes);
+  SendMessage(qp, kSendFamily, first_psn, local_vaddr, bytes, 0, std::move(done));
 }
 
 void RoceStack::PostRead(uint32_t qpn, uint64_t local_vaddr, uint64_t remote_vaddr,
@@ -222,17 +203,14 @@ void RoceStack::PostRead(uint32_t qpn, uint64_t local_vaddr, uint64_t remote_vad
   if (!AdmitPost(qp, done)) {
     return;
   }
-  const uint32_t n_resp =
-      static_cast<uint32_t>(std::max<uint64_t>(1, (bytes + config_.mtu - 1) / config_.mtu));
-
-  ReadCtx ctx;
-  ctx.local_vaddr = local_vaddr;
-  ctx.bytes = bytes;
-  ctx.first_psn = qp.send_psn;
-  ctx.last_psn = qp.send_psn + n_resp - 1;
-  ctx.got.assign(n_resp, false);
-  ctx.done = std::move(done);
-  qp.reads.push_back(std::move(ctx));
+  const uint32_t n_resp = FrameCount(bytes);
+  Wr& wr = qp.wrs[qp.send_psn + n_resp - 1];
+  wr.done = std::move(done);
+  wr.is_read = true;
+  wr.local_vaddr = local_vaddr;
+  wr.bytes = bytes;
+  wr.first_psn = qp.send_psn;
+  wr.got.assign(n_resp, false);
 
   FrameMeta m = BaseMeta(qp);
   m.opcode = Opcode::kReadRequest;
@@ -275,8 +253,6 @@ void RoceStack::OnRxFrame(axi::BufferView frame) {
     const Opcode op = shared->meta.opcode;
     if (op == Opcode::kAck) {
       HandleAck(qp, *shared);
-    } else if (op == Opcode::kReadRequest) {
-      HandleReadRequest(qp, *shared);
     } else if (OpcodeIsReadResponse(op)) {
       // Middle responses carry no AETH, so route by opcode, not by header.
       HandleReadResponse(qp, *shared);
@@ -287,17 +263,28 @@ void RoceStack::OnRxFrame(axi::BufferView frame) {
 }
 
 void RoceStack::HandleDataFrame(Qp& qp, const ParsedFrame& f) {
-  if (f.meta.psn != qp.expected_psn) {
-    // Out-of-order or duplicate under go-back-N: discard, re-ack last good.
-    if (f.meta.psn < qp.expected_psn) {
-      SendAck(qp, qp.expected_psn - 1);
+  // The responder's one PSN gate: every request frame passes here.
+  const Opcode op = f.meta.opcode;
+  if (f.meta.psn > qp.expected_psn) {
+    return;  // a gap: go-back-N resends from the missing frame
+  }
+  if (op == Opcode::kReadRequest) {
+    // Reads are idempotent: a duplicate re-serves the same bytes at the same
+    // PSNs. Only the first arrival consumes the response PSNs.
+    const uint64_t bytes = f.meta.reth_len;
+    if (f.meta.psn == qp.expected_psn) {
+      qp.expected_psn += FrameCount(bytes);
     }
+    SendMessage(qp, kReadResponseFamily, f.meta.psn, f.meta.reth_vaddr, bytes, 0, nullptr);
+    return;
+  }
+  if (f.meta.psn < qp.expected_psn) {
+    SendAck(qp, qp.expected_psn - 1);  // duplicate: re-ack the last good PSN
     return;
   }
   qp.expected_psn = f.meta.psn + 1;
   ++qp.frames_since_ack;
 
-  const Opcode op = f.meta.opcode;
   const bool is_write = op == Opcode::kWriteFirst || op == Opcode::kWriteMiddle ||
                         op == Opcode::kWriteLast || op == Opcode::kWriteOnly;
   if (is_write) {
@@ -364,80 +351,60 @@ void RoceStack::NoteProgress(Qp& qp) {
 void RoceStack::HandleAck(Qp& qp, const ParsedFrame& f) {
   NoteProgress(qp);
   const uint32_t acked = f.meta.psn;
-  // Cumulative: drop every tracked frame with psn <= acked.
-  qp.unacked.erase(qp.unacked.begin(), qp.unacked.upper_bound(acked));
-  // Fire message completions.
-  auto end = qp.completions.upper_bound(acked);
-  for (auto it = qp.completions.begin(); it != end; ++it) {
-    if (it->second) {
-      it->second(true);
+  // Cumulative: drop every tracked frame with psn <= acked, except READ
+  // requests — only a READ's last response retires its request.
+  for (auto it = qp.unacked.begin(); it != qp.unacked.end() && it->first <= acked;) {
+    it = it->second.meta.opcode == Opcode::kReadRequest ? std::next(it) : qp.unacked.erase(it);
+  }
+  // Complete SEND/WRITE WRs in PSN order. Each WR leaves the table before its
+  // callback runs, and the scan resumes by key, so a callback may post or
+  // reset the QP.
+  auto it = qp.wrs.begin();
+  while (it != qp.wrs.end() && it->first <= acked) {
+    if (it->second.is_read) {
+      ++it;
+      continue;
     }
-  }
-  qp.completions.erase(qp.completions.begin(), end);
-  ++qp.timer_generation;  // cancel pending timer
-  if (!qp.unacked.empty()) {
-    ArmRetransmitTimer(qp.local_qpn);
-  }
-}
-
-void RoceStack::HandleReadRequest(Qp& qp, const ParsedFrame& f) {
-  // Idempotent: duplicates re-serve the same data at the same PSNs.
-  const uint64_t bytes = f.meta.reth_len;
-  const uint64_t n_frames = std::max<uint64_t>(1, (bytes + config_.mtu - 1) / config_.mtu);
-  // One bulk read of the requested range; each response frame slices it.
-  axi::BufferView message;
-  message.resize(bytes);
-  if (bytes > 0) {
-    svm_->ReadVirtual(f.meta.reth_vaddr, message.data(), bytes);
-  }
-  uint64_t off = 0;
-  for (uint64_t i = 0; i < n_frames; ++i) {
-    const uint64_t n = std::min<uint64_t>(config_.mtu, bytes - off);
-    FrameMeta m = BaseMeta(qp);
-    m.psn = f.meta.psn + static_cast<uint32_t>(i);
-    if (n_frames == 1) {
-      m.opcode = Opcode::kReadResponseOnly;
-    } else if (i == 0) {
-      m.opcode = Opcode::kReadResponseFirst;
-    } else if (i + 1 == n_frames) {
-      m.opcode = Opcode::kReadResponseLast;
-    } else {
-      m.opcode = Opcode::kReadResponseMiddle;
+    const uint32_t psn = it->first;
+    Completion done = std::move(it->second.done);
+    qp.wrs.erase(it);
+    if (done) {
+      done(true);
     }
-    m.aeth_msn = m.psn & 0x00FFFFFF;
-    TransmitFrame(qp, m, message.Slice(off, n), /*track_for_retransmit=*/false);
-    off += n;
+    it = qp.wrs.upper_bound(psn);
   }
+  RearmRetransmitTimer(qp);
 }
 
 void RoceStack::HandleReadResponse(Qp& qp, const ParsedFrame& f) {
   NoteProgress(qp);
-  for (auto it = qp.reads.begin(); it != qp.reads.end(); ++it) {
-    ReadCtx& ctx = *it;
-    if (f.meta.psn < ctx.first_psn || f.meta.psn > ctx.last_psn) {
-      continue;
+  auto it = qp.wrs.lower_bound(f.meta.psn);
+  if (it == qp.wrs.end() || !it->second.is_read || f.meta.psn < it->second.first_psn) {
+    return;  // stale: the READ already completed
+  }
+  Wr& wr = it->second;
+  const uint64_t index = f.meta.psn - wr.first_psn;
+  if (!f.payload.empty() && !wr.got[index]) {
+    wr.got[index] = true;
+    svm_->WriteVirtual(wr.local_vaddr + index * config_.mtu, f.payload.data(), f.payload.size());
+    wr.received += f.payload.size();
+  }
+  if (wr.received >= wr.bytes) {
+    // Read satisfied: retire the request frame and complete.
+    qp.unacked.erase(wr.first_psn);
+    Completion done = std::move(wr.done);
+    qp.wrs.erase(it);
+    RearmRetransmitTimer(qp);
+    if (done) {
+      done(true);
     }
-    const uint64_t index = f.meta.psn - ctx.first_psn;
-    const uint64_t off = index * config_.mtu;
-    if (!f.payload.empty() && !ctx.got[index]) {
-      ctx.got[index] = true;
-      svm_->WriteVirtual(ctx.local_vaddr + off, f.payload.data(), f.payload.size());
-      ctx.received += f.payload.size();
-    }
-    if (ctx.received >= ctx.bytes) {
-      // Read satisfied: retire the request frame and complete.
-      qp.unacked.erase(ctx.first_psn);
-      Completion done = std::move(ctx.done);
-      qp.reads.erase(it);
-      ++qp.timer_generation;
-      if (!qp.unacked.empty()) {
-        ArmRetransmitTimer(qp.local_qpn);
-      }
-      if (done) {
-        done(true);
-      }
-    }
-    return;
+  }
+}
+
+void RoceStack::RearmRetransmitTimer(Qp& qp) {
+  ++qp.timer_generation;  // cancel the pending timer
+  if (!qp.unacked.empty()) {
+    ArmRetransmitTimer(qp.local_qpn);
   }
 }
 
@@ -483,20 +450,13 @@ void RoceStack::FailQp(Qp& qp) {
   qp.unacked.clear();
   NoteProgress(qp);
   ++qp.timer_generation;  // cancel any pending timer
-  auto completions = std::move(qp.completions);
-  qp.completions.clear();
-  auto reads = std::move(qp.reads);
-  qp.reads.clear();
-  for (auto& [psn, cb] : completions) {
-    if (cb) {
+  // PSN order is post order.
+  auto wrs = std::move(qp.wrs);
+  qp.wrs.clear();
+  for (auto& [psn, wr] : wrs) {
+    if (wr.done) {
       ++error_completions_;
-      cb(false);
-    }
-  }
-  for (auto& r : reads) {
-    if (r.done) {
-      ++error_completions_;
-      r.done(false);
+      wr.done(false);
     }
   }
 }

@@ -77,10 +77,10 @@ class RoceStack {
   void Connect(uint32_t local_qpn, uint32_t remote_ip, uint32_t remote_qpn);
 
   // Error recovery: clears all requester and responder state (SQ, reorder
-  // cursors, PSNs restart at 0) and returns the QP to kInit. Application
-  // handlers (recv / write-arrival) survive the reset. Both endpoints must
-  // ResetQp + Connect for the pair to be usable again. Returns false for an
-  // unknown QPN.
+  // cursors, PSNs restart at 0, a pending retransmit timer is cancelled) and
+  // returns the QP to kInit. Application handlers (recv / write-arrival)
+  // survive the reset. Both endpoints must ResetQp + Connect for the pair to
+  // be usable again. Returns false for an unknown QPN.
   bool ResetQp(uint32_t qpn);
   QpState qp_state(uint32_t qpn) const;
 
@@ -130,15 +130,32 @@ class RoceStack {
   const Config& config() const { return config_; }
 
  private:
-  struct ReadCtx {
+  // A posted work request, keyed in Qp::wrs by the last PSN it occupies. A
+  // SEND/WRITE completes when a cumulative ACK covers that PSN; a READ
+  // completes when its last response byte lands, never by an ACK.
+  struct Wr {
+    Completion done;
+    bool is_read = false;
+    // READ only: destination, first response PSN and per-response dedup
+    // (duplicates arrive after a timeout re-serves the request).
     uint64_t local_vaddr = 0;
     uint64_t bytes = 0;
     uint32_t first_psn = 0;
-    uint32_t last_psn = 0;
     uint64_t received = 0;
-    std::vector<bool> got;  // per-response dedup (duplicates after timeout)
-    Completion done;
+    std::vector<bool> got;
   };
+
+  // The opcodes of one message kind's segments.
+  struct OpcodeFamily {
+    Opcode first, middle, last, only;
+  };
+  static constexpr OpcodeFamily kSendFamily{Opcode::kSendFirst, Opcode::kSendMiddle,
+                                            Opcode::kSendLast, Opcode::kSendOnly};
+  static constexpr OpcodeFamily kWriteFamily{Opcode::kWriteFirst, Opcode::kWriteMiddle,
+                                             Opcode::kWriteLast, Opcode::kWriteOnly};
+  static constexpr OpcodeFamily kReadResponseFamily{
+      Opcode::kReadResponseFirst, Opcode::kReadResponseMiddle, Opcode::kReadResponseLast,
+      Opcode::kReadResponseOnly};
 
   // Go-back-N window entry. The payload is a slice of the posted message's
   // buffer, so tracking a frame for retransmit shares bytes instead of
@@ -157,9 +174,8 @@ class RoceStack {
 
     // Requester state.
     uint32_t send_psn = 0;
-    std::map<uint32_t, PendingFrame> unacked;        // psn -> frame (go-back-N)
-    std::map<uint32_t, Completion> completions;      // last psn of msg -> cb
-    std::vector<ReadCtx> reads;                      // outstanding reads
+    std::map<uint32_t, PendingFrame> unacked;  // psn -> frame (go-back-N)
+    std::map<uint32_t, Wr> wrs;                // last psn of WR -> WR
     uint64_t timer_generation = 0;
     sim::TimePs cur_timeout = 0;          // 0 = use config ack_timeout
     uint32_t consecutive_timeouts = 0;    // resets on any forward progress
@@ -182,9 +198,16 @@ class RoceStack {
   void HandleDataFrame(Qp& qp, const ParsedFrame& f);
   void HandleAck(Qp& qp, const ParsedFrame& f);
   void HandleReadResponse(Qp& qp, const ParsedFrame& f);
-  void HandleReadRequest(Qp& qp, const ParsedFrame& f);
+  // Segments `bytes` at `vaddr` into MTU frames at PSNs first_psn.. . SEND and
+  // WRITE frames are tracked for go-back-N and register `done` on the last
+  // frame; READ responses are untracked.
+  void SendMessage(Qp& qp, const OpcodeFamily& family, uint32_t first_psn, uint64_t vaddr,
+                   uint64_t bytes, uint64_t remote_vaddr, Completion done);
+  uint32_t FrameCount(uint64_t bytes) const;
   void SendAck(Qp& qp, uint32_t psn);
   void ArmRetransmitTimer(uint32_t qpn);
+  // Cancels the pending retransmit timer and re-arms it if frames remain.
+  void RearmRetransmitTimer(Qp& qp);
   void RetransmitUnacked(Qp& qp);
   void FailQp(Qp& qp);
   void NoteProgress(Qp& qp);
@@ -203,7 +226,7 @@ class RoceStack {
 
   std::map<uint32_t, Qp> qps_;
   // One guard covers all QP state: requester/responder cursors, unacked
-  // windows, completion maps. Fine-grained-per-QP adds nothing — the race we
+  // windows, WR tables. Fine-grained-per-QP adds nothing — the race we
   // care about is "two actors inside this stack in one epoch".
   sim::AccessGuard qp_guard_{"roce.qpstate"};
   uint32_t next_qpn_ = 0x11;

@@ -84,10 +84,14 @@ SimDevice::SimDevice(const Config& config, net::Network* network, sim::Engine* s
           .vfpga_id = i, .tid = e.tid, .stream = e.stream, .vaddr = e.vaddr,
           .bytes = e.bytes, .target = e.target};
       if (e.remote && roce_) {
+        // Remote ops use the same virtual address on both ends.
+        auto done = [region, e](bool ok) {
+          region->PushCompletion({e.is_write, e.stream, e.tid, e.bytes, ok});
+        };
         if (e.is_write) {
-          roce_->PostWrite(e.qpn, e.vaddr, e.vaddr, e.bytes, [region, e](bool ok) {
-            region->PushCompletion({true, e.stream, e.tid, e.bytes, ok});
-          });
+          roce_->PostWrite(e.qpn, e.vaddr, e.vaddr, e.bytes, std::move(done));
+        } else {
+          roce_->PostRead(e.qpn, e.vaddr, e.vaddr, e.bytes, std::move(done));
         }
         return;
       }

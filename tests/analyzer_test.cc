@@ -239,6 +239,25 @@ TEST(AnalyzerSymbols, UnorderedAliasIteratedFromCallbackIsSimNondet) {
   EXPECT_TRUE(HasRuleAtLine(findings, "unordered-iter", 8)) << FormatReport(findings);
 }
 
+TEST(AnalyzerSymbols, VariableOfUnorderedAliasIteratedFromCallbackIsSimNondet) {
+  const std::vector<SourceFile> files = {
+      {"src/node/table.cc",
+       std::string(kSinkDecl) +
+           "using Table = std::unordered_map<int, int>;\n"
+           "int Sum() {\n"
+           "  Table t;\n"
+           "  int n = 0;\n"
+           "  for (const auto& kv : t) { n += kv.second; }\n"
+           "  return n;\n"
+           "}\n"
+           "void Arm(E& e) { e.ScheduleAt(1, [] { Sum(); }); }\n"}};
+  const auto findings = Analyze(BuildIndex(files), Options{});
+  const Finding* f = FindAtLine(findings, "sim-nondet", 9);
+  ASSERT_NE(f, nullptr) << FormatReport(findings);
+  EXPECT_NE(f->message.find("unordered container 't'"), std::string::npos) << f->message;
+  EXPECT_TRUE(ChainContains(*f, "Sum")) << f->ChainString();
+}
+
 // --- Suppressions at the primitive site -------------------------------------
 
 TEST(AnalyzerSuppression, PrimitiveSiteTagSilencesTheWholeChain) {

@@ -219,6 +219,37 @@ TEST(LintSymbols, UnorderedNamesAreCollectedAcrossFiles) {
   EXPECT_EQ(findings[0].file, "s.cc");
 }
 
+TEST(LintSymbols, VariableOfUnorderedAliasTypeIsCollected) {
+  // The alias hides the container type at the declaration: `Table t` must
+  // still put `t` in the unordered-name table.
+  const auto findings = AnalyzeSnippet(
+      "src/node/table.cc",
+      "#include <unordered_map>\n"
+      "using Table = std::unordered_map<int, int>;\n"
+      "int Sum() {\n"
+      "  Table t;\n"
+      "  int n = 0;\n"
+      "  for (const auto& kv : t) { n += kv.second; }\n"
+      "  return n;\n"
+      "}\n");
+  EXPECT_TRUE(HasRuleAtLine(findings, "unordered-iter", 6)) << FormatReport(findings);
+}
+
+TEST(LintSymbols, UnorderedAliasFromAHeaderIsCollectedAcrossFiles) {
+  const std::vector<SourceFile> files = {
+      {"src/node/table.h",
+       "#ifndef SRC_NODE_TABLE_H_\n#define SRC_NODE_TABLE_H_\n#include <unordered_set>\n"
+       "using Peers = std::unordered_set<int>;\n"
+       "#endif  // SRC_NODE_TABLE_H_\n"},
+      {"src/node/table.cc",
+       "#include \"src/node/table.h\"\n"
+       "int Count(const Peers& peers) { int n = 0; for (int p : peers) n += p; return n; }\n"}};
+  const auto findings = Analyze(BuildIndex(files), Options{});
+  ASSERT_EQ(findings.size(), 1u) << FormatReport(findings);
+  EXPECT_EQ(findings[0].rule, "unordered-iter");
+  EXPECT_EQ(findings[0].file, "src/node/table.cc");
+}
+
 TEST(LintSymbols, OrderedMapIterationIsFine) {
   const auto findings = AnalyzeSnippet(
       "t.cc",

@@ -166,12 +166,33 @@ class RoceTest : public ::testing::Test {
     svm_b_.RegisterHostBuffer(buf_b_, 16ull << 20);
   }
 
-  std::vector<uint8_t> FillA(uint64_t bytes, uint64_t seed) {
+  std::vector<uint8_t> FillA(uint64_t bytes, uint64_t seed, uint64_t offset = 0) {
     std::vector<uint8_t> data(bytes);
     sim::Rng rng(seed);
     rng.FillBytes(data.data(), bytes);
-    svm_a_.WriteVirtual(buf_a_, data.data(), bytes);
+    svm_a_.WriteVirtual(buf_a_ + offset, data.data(), bytes);
     return data;
+  }
+
+  // 64 KiB (16 MTU frames) at the start of B's buffer, for A to READ.
+  std::vector<uint8_t> FillRemoteForRead() {
+    std::vector<uint8_t> remote(64 << 10);
+    sim::Rng rng(43);
+    rng.FillBytes(remote.data(), remote.size());
+    svm_b_.WriteVirtual(buf_b_, remote.data(), remote.size());
+    return remote;
+  }
+
+  std::vector<uint8_t> ReadA(uint64_t offset, uint64_t bytes) {
+    std::vector<uint8_t> got(bytes);
+    svm_a_.ReadVirtual(buf_a_ + offset, got.data(), bytes);
+    return got;
+  }
+
+  std::vector<uint8_t> ReadB(uint64_t offset, uint64_t bytes) {
+    std::vector<uint8_t> got(bytes);
+    svm_b_.ReadVirtual(buf_b_ + offset, got.data(), bytes);
+    return got;
   }
 
   sim::Engine engine_;
@@ -269,6 +290,82 @@ TEST_F(RoceTest, ReadRecoversFromResponseLoss) {
   std::vector<uint8_t> got(remote.size());
   svm_a_.ReadVirtual(buf_a_, got.data(), got.size());
   EXPECT_EQ(got, remote);
+}
+
+// A READ consumes one request PSN plus one per response; the responder must
+// account for all of them, or the WRITE posted behind it looks like a gap.
+TEST_F(RoceTest, WriteAfterReadOnOneQpCompletes) {
+  const auto remote = FillRemoteForRead();
+  const auto data = FillA(16 << 10, 40, 1 << 20);
+  bool read_ok = false, write_ok = false;
+  a_.PostRead(qp_a_, buf_a_, buf_b_, remote.size(), [&](bool ok) { read_ok = ok; });
+  a_.PostWrite(qp_a_, buf_a_ + (1 << 20), buf_b_ + (1 << 20), data.size(),
+               [&](bool ok) { write_ok = ok; });
+  engine_.RunUntilCondition([&] { return read_ok && write_ok; });
+  EXPECT_TRUE(read_ok);
+  EXPECT_TRUE(write_ok);
+  EXPECT_EQ(a_.retransmitted_frames(), 0u);
+  EXPECT_EQ(a_.error_completions(), 0u);
+}
+
+TEST_F(RoceTest, DuplicateReadRequestIsServedAgainWithoutConsumingPsns) {
+  const auto remote = FillRemoteForRead();
+  // Capture A's READ request as it leaves the stack.
+  axi::BufferView read_request;
+  a_.SetTap([&](const axi::BufferView& frame, bool is_tx) {
+    auto parsed = ParseFrame(frame);
+    if (is_tx && parsed && parsed->meta.opcode == Opcode::kReadRequest) {
+      read_request = frame;
+    }
+  });
+  bool read_ok = false;
+  a_.PostRead(qp_a_, buf_a_, buf_b_, remote.size(), [&](bool ok) { read_ok = ok; });
+  engine_.RunUntilCondition([&] { return read_ok; });
+  a_.SetTap(nullptr);
+  ASSERT_FALSE(read_request.empty());
+
+  // Replay the request: B serves all 16 responses again (A drops them as
+  // stale) and sends no ACK.
+  const uint32_t replay_port = nw_.AttachPort(0x0A000003, nullptr);
+  const uint64_t b_tx = b_.tx_frames();
+  nw_.Transmit(replay_port, 0x0A000002, read_request);
+  engine_.RunUntilIdle();
+  EXPECT_EQ(b_.tx_frames() - b_tx, 16u);
+
+  // B's expected PSN did not move again: a WRITE now lands and is announced,
+  // rather than being re-acked as a duplicate.
+  const auto data = FillA(16 << 10, 41, 1 << 20);
+  uint64_t arrival_bytes = 0;
+  b_.SetWriteArrivalHandler(qp_b_, [&](uint64_t, uint64_t bytes) { arrival_bytes = bytes; });
+  bool write_ok = false;
+  a_.PostWrite(qp_a_, buf_a_ + (1 << 20), buf_b_ + (1 << 20), data.size(),
+               [&](bool ok) { write_ok = ok; });
+  engine_.RunUntilCondition([&] { return write_ok; });
+  EXPECT_TRUE(write_ok);
+  EXPECT_EQ(arrival_bytes, data.size());
+  EXPECT_EQ(ReadB(1 << 20, data.size()), data);
+  EXPECT_EQ(a_.retransmitted_frames(), 0u);
+}
+
+TEST_F(RoceTest, ResetCancelsPendingRetransmitTimer) {
+  // The first WRITE's only frame is lost, so its retransmit timer is pending
+  // (due at the 100 us ack timeout) when both ends reset and reconnect.
+  uint64_t count = 0;
+  nw_.SetDropFilter([&count](uint64_t) { return ++count == 1; });
+  FillA(4096, 42);
+  a_.PostWrite(qp_a_, buf_a_, buf_b_, 4096, nullptr);
+  engine_.RunUntil(sim::Microseconds(99));
+  ASSERT_TRUE(a_.ResetQp(qp_a_));
+  ASSERT_TRUE(b_.ResetQp(qp_b_));
+  a_.Connect(qp_a_, 0x0A000002, qp_b_);
+  b_.Connect(qp_b_, 0x0A000001, qp_a_);
+  // The new WRITE is still unacked when the stale timer comes due.
+  bool done = false;
+  a_.PostWrite(qp_a_, buf_a_, buf_b_, 4096, [&](bool ok) { done = ok; });
+  engine_.RunUntilIdle();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(a_.timeouts(), 0u);
+  EXPECT_EQ(a_.retransmitted_frames(), 0u);
 }
 
 TEST_F(RoceTest, ThroughputApproachesLineRate) {
@@ -508,6 +605,31 @@ TEST_P(RoceSizeSweep, WriteIntegrityAtMtuBoundaries) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, RoceSizeSweep,
                          ::testing::Values(1, 64, 4095, 4096, 4097, 8192, 12289, 65536));
+
+// Property: a 64 KiB READ followed by a 16 KiB WRITE on one QP both complete
+// with the right bytes whichever single frame is lost: the READ request, a
+// WRITE segment, any READ response or an ACK. A lost response must not let
+// the WRITE's cumulative ACK retire the READ.
+class RoceReadWriteDropSweep : public RoceTest, public ::testing::WithParamInterface<uint64_t> {};
+
+TEST_P(RoceReadWriteDropSweep, BothCompleteWithOneFrameLost) {
+  const uint64_t drop = GetParam();
+  uint64_t count = 0;
+  nw_.SetDropFilter([&count, drop](uint64_t) { return ++count == drop; });
+  const auto remote = FillRemoteForRead();
+  const auto data = FillA(16 << 10, 44, 1 << 20);
+  bool read_ok = false, write_ok = false;
+  a_.PostRead(qp_a_, buf_a_, buf_b_, remote.size(), [&](bool ok) { read_ok = ok; });
+  a_.PostWrite(qp_a_, buf_a_ + (1 << 20), buf_b_ + (1 << 20), data.size(),
+               [&](bool ok) { write_ok = ok; });
+  engine_.RunUntilCondition([&] { return read_ok && write_ok; });
+  EXPECT_TRUE(read_ok);
+  EXPECT_TRUE(write_ok);
+  EXPECT_EQ(ReadA(0, remote.size()), remote);
+  EXPECT_EQ(ReadB(1 << 20, data.size()), data);
+}
+
+INSTANTIATE_TEST_SUITE_P(DroppedFrame, RoceReadWriteDropSweep, ::testing::Range<uint64_t>(1, 25));
 
 }  // namespace
 }  // namespace net

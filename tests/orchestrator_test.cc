@@ -206,7 +206,8 @@ TEST(OrchestratorTest, KillOneNodeEvacuatesTenantsFromCheckpoint) {
   std::vector<TenantSpec> specs;
   for (uint32_t i = 0; i < 4; ++i) {
     TenantSpec spec;
-    spec.name = "t" + std::to_string(i);
+    spec.name = "t";
+    spec.name += std::to_string(i);
     spec.home_node = i < 2 ? 0 : i - 1;  // two on node 0, one each on 1 and 2
     spec.items_total = 30;
     spec.think_time = sim::Microseconds(25);
@@ -272,7 +273,8 @@ TEST(OrchestratorTest, CapacityPressureShedsLowestPriorityWithTypedOutcome) {
   const uint32_t prios[4] = {5, 5, 1, 0};
   for (uint32_t i = 0; i < 4; ++i) {
     TenantSpec spec;
-    spec.name = "t" + std::to_string(i);
+    spec.name = "t";
+    spec.name += std::to_string(i);
     spec.priority = prios[i];
     spec.home_node = i < 2 ? 0 : 1;
     spec.items_total = i < 2 ? 30 : 60;
@@ -323,7 +325,8 @@ FleetRunResult RunDeterminismFleet(uint32_t num_shards, bool use_threads) {
   std::vector<uint32_t> ids;
   for (uint32_t i = 0; i < 6; ++i) {
     TenantSpec spec;
-    spec.name = "t" + std::to_string(i);
+    spec.name = "t";
+    spec.name += std::to_string(i);
     spec.priority = i % 3;
     spec.home_node = i;  // node 6 stays free for evacuations
     spec.items_total = 12;

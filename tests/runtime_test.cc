@@ -7,6 +7,7 @@
 #include <cstring>
 #include <vector>
 
+#include "src/net/network.h"
 #include "src/runtime/crcnfg.h"
 #include "src/runtime/cthread.h"
 #include "src/runtime/device.h"
@@ -596,6 +597,57 @@ TEST_F(PointerChaseTest, EmptyListCompletesImmediately) {
   t.SetCsr(1, services::kChaseCsrStart);
   dev.WaitFor([&] { return t.GetCsr(services::kChaseCsrDone) == 1; });
   EXPECT_EQ(t.GetCsr(services::kChaseCsrVisited), 0u);
+}
+
+// A kernel's remote-read send-queue entry becomes an RDMA READ of the same
+// virtual address on the peer, and completes exactly once.
+TEST(SendQueueTest, RemoteReadFetchesPeerBytesAndCompletesOnce) {
+  sim::Engine engine;
+  net::Network network(&engine, {});
+  auto node_config = [](uint32_t ip) {
+    SimDevice::Config cfg = DefaultConfig(1);
+    cfg.shell.services.push_back(fabric::Service::kRdma);
+    cfg.ip = ip;
+    return cfg;
+  };
+  constexpr uint32_t kIpA = 0x0A000001, kIpB = 0x0A000002;
+  SimDevice node_a(node_config(kIpA), &network, &engine);
+  SimDevice node_b(node_config(kIpB), &network, &engine);
+  CThread ta(&node_a, 0);
+  CThread tb(&node_b, 0);
+  const uint32_t qp_a = ta.CreateQp();
+  const uint32_t qp_b = tb.CreateQp();
+  ta.ConnectQp(qp_a, kIpB, qp_b);
+  tb.ConnectQp(qp_b, kIpA, qp_a);
+
+  constexpr uint64_t kBytes = 20000;  // five MTU frames, the last one partial
+  const uint64_t a_buf = ta.GetMem({Alloc::kHpf, 1 << 20});
+  const uint64_t b_buf = tb.GetMem({Alloc::kHpf, 1 << 20});
+  ASSERT_EQ(a_buf, b_buf);  // remote SQ ops address the same vaddr on both ends
+  const auto data = RandomBytes(kBytes, 50);
+  tb.WriteBuffer(b_buf, data.data(), kBytes);
+
+  vfpga::SendQueueEntry e;
+  e.is_write = false;
+  e.vaddr = a_buf;
+  e.bytes = kBytes;
+  e.stream = 1;
+  e.tid = 7;
+  e.remote = true;
+  e.qpn = qp_a;
+  node_a.vfpga(0).PostSend(e);
+  engine.RunUntilIdle();
+
+  const auto& completions = node_a.vfpga(0).completions();
+  ASSERT_EQ(completions.size(), 1u);
+  EXPECT_TRUE(completions.front().ok);
+  EXPECT_FALSE(completions.front().is_write);
+  EXPECT_EQ(completions.front().stream, 1u);
+  EXPECT_EQ(completions.front().tid, 7u);
+  EXPECT_EQ(completions.front().bytes, kBytes);
+  std::vector<uint8_t> got(kBytes);
+  ta.ReadBuffer(a_buf, got.data(), kBytes);
+  EXPECT_EQ(got, data);
 }
 
 // --- Reconfiguration ----------------------------------------------------------

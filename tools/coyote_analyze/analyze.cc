@@ -141,6 +141,20 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
+// Skips any `const`, `&` and `*` from toks[j]; returns the index of the token
+// after them.
+size_t SkipQualifiers(const std::vector<Token>& toks, size_t j, bool* saw_const) {
+  while (j < toks.size() &&
+         ((toks[j].kind == TokKind::kPunct && (toks[j].text == "&" || toks[j].text == "*")) ||
+          (toks[j].kind == TokKind::kIdent && toks[j].text == "const"))) {
+    if (toks[j].kind == TokKind::kIdent && saw_const != nullptr) {
+      *saw_const = true;
+    }
+    ++j;
+  }
+  return j;
+}
+
 // Skips the template argument list opening at toks[lt] ("<"), then any
 // `const`, `&` and `*`; returns the index of the token after them.
 size_t SkipTemplateArgsAndQualifiers(const std::vector<Token>& toks, size_t lt,
@@ -156,40 +170,47 @@ size_t SkipTemplateArgsAndQualifiers(const std::vector<Token>& toks, size_t lt,
       }
     }
   }
-  ++j;
-  while (j < toks.size() &&
-         ((toks[j].kind == TokKind::kPunct && (toks[j].text == "&" || toks[j].text == "*")) ||
-          (toks[j].kind == TokKind::kIdent && toks[j].text == "const"))) {
-    if (toks[j].kind == TokKind::kIdent && saw_const != nullptr) {
-      *saw_const = true;
-    }
-    ++j;
-  }
-  return j;
+  return SkipQualifiers(toks, j + 1, saw_const);
 }
 
-// The project-wide unordered-name table: every name declared with an
-// unordered container type — a variable or member, a function returning one
-// (`for (auto& x : MakeUnorderedSet())` iterates a nondeterministic temporary
-// just the same), or a `using Alias = std::unordered_map<...>` alias.
-void CollectUnorderedNames(const LexedFile& lexed, std::vector<std::string>* names) {
+// Every `using Alias = std::unordered_map<...>` alias in one file. An alias
+// joins the unordered-name table itself: iterating a temporary of its type is
+// an unordered iteration too.
+void CollectUnorderedAliases(const LexedFile& lexed, std::vector<std::string>* aliases) {
   const auto& toks = lexed.tokens;
   for (size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].kind != TokKind::kIdent || UnorderedTypes().count(toks[i].text) == 0) {
       continue;
     }
-    // `using Alias = std::unordered_map<...>`: scan back a few tokens.
     for (size_t back = 2; back <= 6 && back <= i; ++back) {
       if (toks[i - back].kind == TokKind::kIdent && toks[i - back].text == "using" &&
           toks[i - back + 1].kind == TokKind::kIdent) {
-        names->push_back(toks[i - back + 1].text);
+        aliases->push_back(toks[i - back + 1].text);
         break;
       }
     }
-    if (i + 1 >= toks.size() || toks[i + 1].text != "<") {
+  }
+}
+
+// The rest of the project-wide unordered-name table: every name declared with
+// an unordered container type or one of the project's `aliases` of one — a
+// variable or member, or a function returning one (`for (auto& x :
+// MakeUnorderedSet())` iterates a nondeterministic temporary just the same).
+void CollectUnorderedNames(const LexedFile& lexed, const std::set<std::string>& aliases,
+                           std::vector<std::string>* names) {
+  const auto& toks = lexed.tokens;
+  for (size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (toks[i].kind != TokKind::kIdent) {
       continue;
     }
-    const size_t j = SkipTemplateArgsAndQualifiers(toks, i + 1, nullptr);
+    size_t j = 0;
+    if (UnorderedTypes().count(toks[i].text) != 0 && toks[i + 1].text == "<") {
+      j = SkipTemplateArgsAndQualifiers(toks, i + 1, nullptr);
+    } else if (aliases.count(toks[i].text) != 0) {
+      j = SkipQualifiers(toks, i + 1, nullptr);
+    } else {
+      continue;
+    }
     if (j < toks.size() && toks[j].kind == TokKind::kIdent) {
       names->push_back(toks[j].text);
     }
@@ -1200,17 +1221,22 @@ class Indexer {
 Index BuildIndex(const std::vector<SourceFile>& files) {
   Index index;
   index.files.reserve(files.size());
+  std::set<std::string> aliases;  // project-wide: an alias may live in a header
   for (const SourceFile& f : files) {
     FileIndex fi;
     fi.path = f.first;
     fi.lexed = frontend::Lex(f.second);
     Indexer(fi.path, fi.lexed, &fi).Run();
-    CollectUnorderedNames(fi.lexed, &fi.unordered_names);
+    CollectUnorderedAliases(fi.lexed, &fi.unordered_names);
+    aliases.insert(fi.unordered_names.begin(), fi.unordered_names.end());
+    index.files.push_back(std::move(fi));
+  }
+  for (FileIndex& fi : index.files) {
+    CollectUnorderedNames(fi.lexed, aliases, &fi.unordered_names);
     std::sort(fi.unordered_names.begin(), fi.unordered_names.end());
     fi.unordered_names.erase(
         std::unique(fi.unordered_names.begin(), fi.unordered_names.end()),
         fi.unordered_names.end());
-    index.files.push_back(std::move(fi));
   }
   return index;
 }
