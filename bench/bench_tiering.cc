@@ -41,6 +41,7 @@
 #include "src/memsys/nvme.h"
 #include "src/mmu/svm.h"
 #include "src/mmu/tiering.h"
+#include "src/sim/bytes.h"
 #include "src/sim/engine.h"
 #include "src/sim/link.h"
 #include "src/sim/rng.h"
@@ -91,14 +92,6 @@ struct CaseResult {
   }
 };
 
-uint64_t Fnv1a(uint64_t h, const uint8_t* p, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 // One self-contained SVM + tiering stack with a closed-loop access cost
 // model. Demand fetches and migration waves share one PCIe link so the
 // policies pay for their own traffic.
@@ -117,11 +110,11 @@ class TieredStack {
     // without corrupting them.
     std::vector<uint8_t> page(kPageBytes);
     sim::Rng fill(kSeed);
-    uint64_t h = 0xcbf29ce484222325ull;
+    uint64_t h = sim::kFnvOffset;
     for (uint64_t p = 0; p < kWorkingSetPages; ++p) {
       fill.FillBytes(page.data(), page.size());
       svm_.WriteVirtual(base_ + p * kPageBytes, page.data(), page.size());
-      h = Fnv1a(h, page.data(), page.size());
+      sim::FoldBytes(&h, page.data(), page.size());
     }
     expected_hash_ = h;
 
@@ -216,10 +209,10 @@ class TieredStack {
     r.stats_fp = s.Fingerprint();
 
     std::vector<uint8_t> page(kPageBytes);
-    uint64_t h = 0xcbf29ce484222325ull;
+    uint64_t h = sim::kFnvOffset;
     for (uint64_t p = 0; p < kWorkingSetPages; ++p) {
       svm_.ReadVirtual(base_ + p * kPageBytes, page.data(), page.size());
-      h = Fnv1a(h, page.data(), page.size());
+      sim::FoldBytes(&h, page.data(), page.size());
     }
     r.data_hash = h;
     return r;

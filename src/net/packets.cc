@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "src/vfpga/checkpoint.h"
+#include "src/sim/bytes.h"
 
 namespace coyote {
 namespace net {
@@ -141,7 +141,7 @@ std::vector<uint8_t> BuildFrame(const FrameMeta& meta, const axi::BufferView& pa
   f.insert(f.end(), payload.begin(), payload.end());
   // ICRC: the shared CRC-32 (reflected, poly 0xEDB88320) stands in for the
   // InfiniBand invariant CRC.
-  PutU32(f, vfpga::ckpt::Crc32(f.data(), f.size()));
+  PutU32(f, sim::Crc32(f.data(), f.size()));
   return f;
 }
 
@@ -199,7 +199,7 @@ std::optional<ParsedFrame> ParseFrame(const axi::BufferView& bytes) {
   }
   // ICRC check: a frame corrupted in flight fails here and is treated like a
   // loss — the sender's retransmit machinery recovers it.
-  if (GetU32(end) != vfpga::ckpt::Crc32(p, bytes.size() - kIcrcBytes)) {
+  if (GetU32(end) != sim::Crc32(p, bytes.size() - kIcrcBytes)) {
     return std::nullopt;
   }
   // Zero-copy: the payload view shares the frame's storage.

@@ -10,17 +10,19 @@
 //   u32 payload_len    payload bytes...
 //   u32 crc32          (IEEE 802.3, over everything before it)
 //
-// All integers little-endian. A frame that fails magic/version/length/CRC
-// validation is rejected as a whole; the reader then reports !ok() and every
-// subsequent field read returns zero. The CRC is the same IEEE 802.3
-// implementation the CYK1 checkpoint format uses (src/vfpga/checkpoint.h).
+// Fields are the shared little-endian codec (src/sim/bytes.h); this header
+// adds only the CYRP framing. The header's payload_len plus payload is one
+// length-prefixed Bytes field. A frame that fails magic/version/length/CRC
+// validation is rejected as a whole; the reader then reports !ok(), no type,
+// AtEnd() false, and every subsequent field read returns zero.
 
 #ifndef SRC_NET_RPC_H_
 #define SRC_NET_RPC_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
+
+#include "src/sim/bytes.h"
 
 namespace coyote {
 namespace net {
@@ -35,49 +37,21 @@ enum class MsgType : uint8_t {
   kHeartbeat = 3,     // node -> router: liveness beacon
 };
 
-class FrameWriter {
+class FrameWriter : public sim::FieldWriter {
  public:
-  void U8(uint8_t v) { buf_.push_back(v); }
-  void U16(uint16_t v);
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
-  void Str(const std::string& s);  // u32 length + raw bytes
-
   // Seals the frame: prepends the header, appends the CRC trailer.
   std::vector<uint8_t> Finish(MsgType type) const;
-
-  size_t payload_size() const { return buf_.size(); }
-
- private:
-  // lint: guard-ok stack-local frame builder: a FrameWriter is built, filled and finished within one event, never shared across contexts
-  std::vector<uint8_t> buf_;
 };
 
-class FrameReader {
+class FrameReader : public sim::FieldReader {
  public:
   // Validates header + CRC; on any mismatch ok() is false and reads yield 0.
   explicit FrameReader(const std::vector<uint8_t>& frame);
 
-  bool ok() const { return ok_; }
   MsgType type() const { return type_; }
 
-  uint8_t U8();
-  uint16_t U16();
-  uint32_t U32();
-  uint64_t U64();
-  int32_t I32() { return static_cast<int32_t>(U32()); }
-  std::string Str();
-
-  // True when every payload byte has been consumed (trailing-garbage check).
-  bool AtEnd() const { return !ok_ || pos_ == end_; }
-
  private:
-  const std::vector<uint8_t>* frame_ = nullptr;
-  size_t pos_ = 0;
-  size_t end_ = 0;
-  bool ok_ = false;
-  MsgType type_ = MsgType::kHeartbeat;
+  MsgType type_{};  // no MsgType until the frame validates
 };
 
 }  // namespace rpc

@@ -1,24 +1,13 @@
 #include "src/net/sniffer.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <utility>
+
+#include "src/sim/bytes.h"
 
 namespace coyote {
 namespace net {
-namespace {
-
-void PutU32Le(std::vector<uint8_t>& v, uint32_t x) {
-  v.push_back(static_cast<uint8_t>(x));
-  v.push_back(static_cast<uint8_t>(x >> 8));
-  v.push_back(static_cast<uint8_t>(x >> 16));
-  v.push_back(static_cast<uint8_t>(x >> 24));
-}
-void PutU16Le(std::vector<uint8_t>& v, uint16_t x) {
-  v.push_back(static_cast<uint8_t>(x));
-  v.push_back(static_cast<uint8_t>(x >> 8));
-}
-
-}  // namespace
 
 bool TrafficSniffer::Matches(const axi::BufferView& frame, bool is_tx) const {
   if (is_tx && !filter_.capture_tx) {
@@ -81,24 +70,24 @@ uint64_t TrafficSniffer::capture_bytes() const {
 }
 
 std::vector<uint8_t> TrafficSniffer::ToPcap() const {
-  std::vector<uint8_t> out;
+  sim::FieldWriter out;
   // Global header.
-  PutU32Le(out, 0xa1b2c3d4);  // magic (microsecond timestamps)
-  PutU16Le(out, 2);           // version major
-  PutU16Le(out, 4);           // version minor
-  PutU32Le(out, 0);           // thiszone
-  PutU32Le(out, 0);           // sigfigs
-  PutU32Le(out, 65535);       // snaplen
-  PutU32Le(out, 1);           // LINKTYPE_ETHERNET
+  out.U32(0xa1b2c3d4);  // magic (microsecond timestamps)
+  out.U16(2);           // version major
+  out.U16(4);           // version minor
+  out.U32(0);           // thiszone
+  out.U32(0);           // sigfigs
+  out.U32(65535);       // snaplen
+  out.U32(1);           // LINKTYPE_ETHERNET
   for (const auto& f : frames_) {
     const uint64_t usec_total = f.timestamp / sim::kPsPerUs;
-    PutU32Le(out, static_cast<uint32_t>(usec_total / 1'000'000));
-    PutU32Le(out, static_cast<uint32_t>(usec_total % 1'000'000));
-    PutU32Le(out, static_cast<uint32_t>(f.bytes.size()));
-    PutU32Le(out, f.original_len);
-    out.insert(out.end(), f.bytes.begin(), f.bytes.end());
+    out.U32(static_cast<uint32_t>(usec_total / 1'000'000));
+    out.U32(static_cast<uint32_t>(usec_total % 1'000'000));
+    out.U32(static_cast<uint32_t>(f.bytes.size()));
+    out.U32(f.original_len);
+    out.Raw(f.bytes.data(), f.bytes.size());
   }
-  return out;
+  return std::move(out).Take();
 }
 
 bool TrafficSniffer::WritePcapFile(const std::string& path) const {

@@ -770,15 +770,7 @@ void Orchestrator::Trace(const std::string& line) {
   trace_.push_back("t=" + std::to_string(now) + " " + line);
 }
 
-uint64_t Orchestrator::TraceFingerprint() const {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const auto& line : trace_) {
-    FoldBytes(&h, reinterpret_cast<const uint8_t*>(line.data()), line.size());
-    h ^= '\n';
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+uint64_t Orchestrator::TraceFingerprint() const { return sim::HashLines(trace_); }
 
 void Orchestrator::AdmitTenant(uint32_t tenant, const TenantSpec& spec, uint32_t node,
                                int32_t region) {

@@ -49,6 +49,7 @@
 #include "src/runtime/placement.h"
 #include "src/runtime/supervisor.h"
 #include "src/sim/access_guard.h"
+#include "src/sim/bytes.h"
 #include "src/sim/fault.h"
 #include "src/sim/sharded_engine.h"
 #include "src/sim/time.h"
@@ -193,7 +194,7 @@ class Fleet {
     uint64_t dst_vaddr = 0;
     uint64_t items_done = 0;
     uint64_t retries = 0;
-    uint64_t data_hash = 0xcbf29ce484222325ull;
+    uint64_t data_hash = sim::kFnvOffset;
     bool running = false;  // false: quiesced / retired / shed
     // Exactly one item op in flight at a time. Guards against a stale
     // think-time timer firing right after a rollback resumed the tenant,

@@ -21,32 +21,17 @@
 #include "src/axi/buffer.h"
 #include "src/net/rpc.h"
 #include "src/runtime/cthread.h"
+#include "src/sim/bytes.h"
 #include "src/sim/time.h"
 
 namespace coyote {
 namespace runtime {
 namespace serving {
 
-inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-inline constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-inline void FoldBytes(uint64_t* h, const uint8_t* data, size_t len) {
-  for (size_t i = 0; i < len; ++i) {
-    *h ^= data[i];
-    *h *= kFnvPrime;
-  }
-}
-
-// Folds `v`'s 8 bytes in memory order (low byte first on little-endian hosts).
-inline void FoldU64(uint64_t* h, uint64_t v) {
-  FoldBytes(h, reinterpret_cast<const uint8_t*>(&v), sizeof(v));
-}
-
-inline uint64_t HashBytes(const uint8_t* data, size_t len) {
-  uint64_t h = kFnvOffset;
-  FoldBytes(&h, data, len);
-  return h;
-}
+using sim::FoldBytes;
+using sim::FoldU64;
+using sim::HashBytes;
+using sim::kFnvOffset;
 
 // The request envelope. `id` is stamped by whoever owns the request's
 // lifecycle (the Router in a fabric run, the test in a direct call);

@@ -3,6 +3,8 @@
 #include <string>
 #include <utility>
 
+#include "src/sim/bytes.h"
+
 namespace coyote {
 namespace runtime {
 
@@ -256,20 +258,7 @@ void Supervisor::TraceEvent(uint32_t id, const std::string& event) {
                    std::to_string(id) + " " + event);
 }
 
-uint64_t Supervisor::TraceFingerprint() const {
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64-bit offset basis
-  auto mix = [&h](uint8_t byte) {
-    h ^= byte;
-    h *= 0x100000001b3ull;
-  };
-  for (const auto& line : trace_) {
-    for (const char c : line) {
-      mix(static_cast<uint8_t>(c));
-    }
-    mix('\n');
-  }
-  return h;
-}
+uint64_t Supervisor::TraceFingerprint() const { return sim::HashLines(trace_); }
 
 }  // namespace runtime
 }  // namespace coyote

@@ -4,47 +4,17 @@
 #define SRC_SIM_STATS_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/sim/bytes.h"
+
 namespace coyote {
 namespace sim {
-
-// Online mean/stddev/min/max accumulator (Welford).
-class Summary {
- public:
-  void Add(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  uint64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
-  // Bit-exact comparison: two deterministic runs that fed the same samples in
-  // the same order produce equal Summaries (the chaos tests rely on this).
-  bool operator==(const Summary&) const = default;
-
- private:
-  uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 // Fixed set of samples with percentile queries; used for latency reporting.
 class Samples {
@@ -81,8 +51,6 @@ class Samples {
     }
     return s / static_cast<double>(values_.size());
   }
-
-  const std::vector<double>& values() const { return values_; }
 
  private:
   std::vector<double> values_;
@@ -129,18 +97,12 @@ class Histogram {
   // FNV-1a over (count, sum, max, buckets): two deterministic runs that fed
   // the same samples produce equal fingerprints.
   uint64_t Fingerprint() const {
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-      }
-    };
-    mix(count_);
-    mix(sum_);
-    mix(max_);
+    uint64_t h = kFnvOffset;
+    FoldU64(&h, count_);
+    FoldU64(&h, sum_);
+    FoldU64(&h, max_);
     for (uint64_t b : buckets_) {
-      mix(b);
+      FoldU64(&h, b);
     }
     return h;
   }
@@ -171,16 +133,19 @@ class Histogram {
 // schedule by comparing fingerprints.
 class CounterSet {
  public:
+  // Allocates only when `name` is first inserted.
   void Increment(std::string_view name, uint64_t n = 1) {
-    counters_[std::string(name)] += n;
+    auto it = counters_.find(name);
+    if (it == counters_.end()) {
+      it = counters_.emplace(name, 0).first;
+    }
+    it->second += n;
   }
 
   uint64_t value(std::string_view name) const {
-    auto it = counters_.find(std::string(name));
+    auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
-
-  const std::map<std::string, uint64_t>& counters() const { return counters_; }
 
   uint64_t total() const {
     uint64_t sum = 0;
@@ -192,17 +157,10 @@ class CounterSet {
 
   // FNV-1a over (name, value) pairs in sorted order.
   uint64_t Fingerprint() const {
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](const void* data, size_t len) {
-      const auto* p = static_cast<const uint8_t*>(data);
-      for (size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-      }
-    };
+    uint64_t h = kFnvOffset;
     for (const auto& [name, v] : counters_) {
-      mix(name.data(), name.size());
-      mix(&v, sizeof(v));
+      FoldBytes(&h, reinterpret_cast<const uint8_t*>(name.data()), name.size());
+      FoldU64(&h, v);
     }
     return h;
   }
@@ -210,7 +168,7 @@ class CounterSet {
   bool operator==(const CounterSet&) const = default;
 
  private:
-  std::map<std::string, uint64_t> counters_;
+  std::map<std::string, uint64_t, std::less<>> counters_;
 };
 
 }  // namespace sim

@@ -13,11 +13,10 @@
 //   <payload sections written by the owner via Writer>
 //   u32 crc32                 (IEEE 802.3, over everything before it)
 //
-// The Writer/Reader pair is deliberately dumb: fixed-width integers and
-// length-prefixed byte strings only, no varints, no padding, no host-order
-// leaks. A Reader validates the magic/version on Open and the CRC before
-// handing out a single field, so a truncated or bit-flipped checkpoint is
-// rejected as a whole rather than half-applied.
+// Fields are the shared little-endian codec and CRC-32 (src/sim/bytes.h);
+// this header adds only the CYK1 framing. A Reader validates the CRC and
+// magic/version before handing out a single field, so a truncated or
+// bit-flipped checkpoint is rejected as a whole rather than half-applied.
 
 #ifndef SRC_VFPGA_CHECKPOINT_H_
 #define SRC_VFPGA_CHECKPOINT_H_
@@ -26,6 +25,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "src/sim/bytes.h"
 
 namespace coyote {
 namespace vfpga {
@@ -37,61 +38,25 @@ namespace ckpt {
 inline constexpr uint32_t kMagic = 0x314B5943u;  // "CYK1"
 inline constexpr uint16_t kVersion = 1;
 
-// CRC-32 (IEEE 802.3, reflected, init/final 0xFFFFFFFF).
-uint32_t Crc32(const uint8_t* data, size_t len);
+using sim::Crc32;
 
-class Writer {
+class Writer : public sim::FieldWriter {
  public:
-  // Starts a checkpoint stream: magic + version + flags header.
+  // Starts a checkpoint stream: magic + version + flags header. The
+  // inherited Finish() && appends the CRC trailer.
   explicit Writer(uint16_t flags = 0);
-
-  void U8(uint8_t v) { buf_.push_back(v); }
-  void U16(uint16_t v);
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  // Length-prefixed (u32) byte string.
-  void Bytes(const uint8_t* data, size_t len);
-  void Bytes(const std::vector<uint8_t>& data) { Bytes(data.data(), data.size()); }
-  void Str(const std::string& s);
-
-  size_t size() const { return buf_.size(); }
-
-  // Appends the CRC trailer and returns the finished checkpoint. The writer
-  // is consumed; further appends are invalid.
-  std::vector<uint8_t> Finish() &&;
-
- private:
-  // lint: guard-ok stack-local serialization buffer: a Writer is built, filled and finished within one context, never shared
-  std::vector<uint8_t> buf_;
 };
 
-class Reader {
+class Reader : public sim::FieldReader {
  public:
-  // Validates magic, version and the CRC trailer; ok() is false (and every
+  // Validates the CRC trailer, magic and version; ok() is false (and every
   // read returns zero/empty) when the blob is malformed or corrupt.
   explicit Reader(const std::vector<uint8_t>& blob);
 
-  bool ok() const { return ok_; }
   uint16_t flags() const { return flags_; }
 
-  uint8_t U8();
-  uint16_t U16();
-  uint32_t U32();
-  uint64_t U64();
-  std::vector<uint8_t> Bytes();
-  std::string Str();
-
-  // True when every payload byte has been consumed (trailer excluded).
-  bool AtEnd() const { return ok_ && pos_ == end_; }
-
  private:
-  bool Need(size_t n);
-
-  const uint8_t* data_ = nullptr;
-  size_t pos_ = 0;
-  size_t end_ = 0;  // payload end (start of the CRC trailer)
   uint16_t flags_ = 0;
-  bool ok_ = false;
 };
 
 }  // namespace ckpt

@@ -169,9 +169,7 @@ std::vector<uint8_t> Reseal(const std::vector<uint8_t>& frame, net::rpc::MsgType
   std::vector<uint8_t> payload(frame.begin() + kHeaderBytes, frame.end() - kTrailerBytes);
   mutate(&payload);
   net::rpc::FrameWriter w;
-  for (const uint8_t b : payload) {
-    w.U8(b);
-  }
+  w.Raw(payload.data(), payload.size());
   return w.Finish(type);
 }
 

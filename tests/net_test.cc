@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/memsys/card_memory.h"
@@ -453,6 +454,49 @@ TEST(SnifferTest, PcapFormatIsWellFormed) {
   // incl_len matches the frame.
   const uint32_t incl = pcap[32] | pcap[33] << 8 | pcap[34] << 16;
   EXPECT_EQ(incl, FrameOverheadBytes(Opcode::kSendOnly) + 4);
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (const uint8_t b : bytes) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 0xF];
+  }
+  return s;
+}
+
+// Byte-for-byte golden of a two-frame capture: global header, two record
+// headers and the frames themselves (ICRC included).
+TEST(SnifferTest, TwoFramePcapMatchesGoldenBytes) {
+  sim::Engine engine;
+  TrafficSniffer sniffer(&engine);
+  sniffer.Start();
+  FrameMeta send;
+  send.opcode = Opcode::kSendOnly;
+  send.src_ip = 0x0A000001;
+  send.dst_ip = 0x0A000002;
+  send.dest_qpn = 5;
+  send.psn = 17;
+  FrameMeta ack;
+  ack.opcode = Opcode::kAck;
+  ack.src_ip = 0x0A000002;
+  ack.dst_ip = 0x0A000001;
+  ack.dest_qpn = 4;
+  ack.aeth_msn = 1;
+  ack.psn = 17;
+  engine.ScheduleAt(sim::Seconds(1) + sim::Microseconds(7),
+                    [&] { sniffer.OnFrame(BuildFrame(send, {1, 2, 3, 4}), true); });
+  engine.ScheduleAt(sim::Seconds(1) + sim::Microseconds(9),
+                    [&] { sniffer.OnFrame(BuildFrame(ack, {}), false); });
+  engine.RunUntilIdle();
+  EXPECT_EQ(Hex(sniffer.ToPcap()),
+            "d4c3b2a1020004000000000000000000ffff0000010000000100000007000000"
+            "3e0000003e000000000000000000000000000000080045020030000040004011"
+            "26b90a0000010a000002c00012b7001c00000400ffff00000005000000110102"
+            "0304047d8c2a01000000090000003e0000003e00000000000000000000000000"
+            "000008004502003000004000401126b90a0000020a000001c00012b7001c0000"
+            "1100ffff000000040000001100000001ffe2b299");
 }
 
 TEST(SnifferTest, HeadersOnlyTruncates) {

@@ -67,8 +67,57 @@ TEST(RpcFrameTest, AnySingleByteFlipRejectsTheWholeFrame) {
     bad[i] ^= 0x01;
     net::rpc::FrameReader r(bad);
     EXPECT_FALSE(r.ok()) << "byte " << i << " flip was accepted";
+    EXPECT_FALSE(r.AtEnd());
+    EXPECT_EQ(r.type(), net::rpc::MsgType{});  // no type on a rejected frame
     EXPECT_EQ(r.U64(), 0u);  // reads after rejection yield zero
   }
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (const uint8_t b : bytes) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 0xF];
+  }
+  return s;
+}
+
+// Byte-for-byte goldens: one frame of each MsgType from the serving codecs.
+// Any change to field order, width, endianness, header or CRC shows here.
+TEST(RpcFrameTest, ServingCodecsProduceGoldenBytes) {
+  serving::ServingRequest req;
+  req.id = 0x0102030405060708ull;
+  req.tenant = 7;
+  req.kernel = "vadd";
+  req.payload = axi::BufferView(std::vector<uint8_t>(16, 0xAB));
+  req.response_bytes = 32;
+  req.deadline = 5'000'000;
+  req.priority = 2;
+  req.region_hint = -1;
+  req.submitted_at = 123'456;
+  req.retries = 1;
+  EXPECT_EQ(Hex(serving::EncodeBatch(3, {req})),
+            "4359525001000100480000000300000001000000080706050403020107000000"
+            "040000007661646410000000000000002000000000000000404b4c0000000000"
+            "02000000ffffffff40e20100000000000100000051f1daa9");
+
+  serving::ServingCompletion c;
+  c.id = 42;
+  c.tenant = 7;
+  c.status = OpStatus::kOk;
+  c.node = 1;
+  c.region = 0;
+  c.submitted_at = 1000;
+  c.completed_at = 2500;
+  c.response_hash = 0xCBF29CE484222325ull;
+  EXPECT_EQ(Hex(serving::EncodeCompletion(c)),
+            "43595250010002002d0000002a00000000000000070000000101000000000000"
+            "00e803000000000000c40900000000000025232284e49cf2cb3ad62086");
+
+  EXPECT_EQ(Hex(serving::EncodeHeartbeat(3, 9, 12'345)),
+            "4359525001000300140000000300000009000000000000003930000000000000"
+            "231de778");
 }
 
 // --- the request envelope -----------------------------------------------------

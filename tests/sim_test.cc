@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/sim/bytes.h"
 #include "src/sim/clock.h"
 #include "src/sim/engine.h"
 #include "src/sim/link.h"
@@ -299,16 +303,57 @@ TEST(RngTest, FillBytesCoversAllLengths) {
   }
 }
 
-TEST(StatsTest, SummaryMoments) {
-  Summary s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Add(v);
-  }
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
+// Field round trips are pinned byte for byte by the CYRP, CYK1 and PCAP
+// goldens; this checks the reader contract every format inherits.
+TEST(BytesTest, SealedReaderFailsAsAWhole) {
+  FieldWriter w;
+  w.U32(0xDEADBEEFu);
+  w.Str("lane");
+  const std::vector<uint8_t> sealed = std::move(w).Finish();
+
+  FieldReader r(sealed);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.U32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.Str(), "lane");
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(r.U8(), 0u);  // a read past the end fails the reader
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.AtEnd());
+
+  std::vector<uint8_t> bad = sealed;
+  bad[3] ^= 0x01;
+  FieldReader rejected(bad);
+  EXPECT_FALSE(rejected.ok());
+  EXPECT_FALSE(rejected.AtEnd());
+  EXPECT_EQ(rejected.remaining(), 0u);
+  EXPECT_EQ(rejected.U8(), 0u);
+  EXPECT_FALSE(FieldReader(std::vector<uint8_t>{1, 2, 3}).ok());
+}
+
+TEST(BytesTest, FnvHelpersAgree) {
+  const std::string text = "t=1 a\nt=2 b\n";
+  EXPECT_EQ(HashLines({"t=1 a", "t=2 b"}),
+            HashBytes(reinterpret_cast<const uint8_t*>(text.data()), text.size()));
+  EXPECT_EQ(HashLines({}), kFnvOffset);
+  const uint8_t le[8] = {0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01};
+  uint64_t h = kFnvOffset;
+  FoldU64(&h, 0x0123456789ABCDEFull);
+  EXPECT_EQ(h, HashBytes(le, sizeof(le)));
+}
+
+TEST(StatsTest, CounterSetLooksUpByViewAndFingerprintsInNameOrder) {
+  CounterSet a;
+  a.Increment(std::string_view("net.drop"));
+  a.Increment("mmu.fault", 2);
+  a.Increment("net.drop", 3);
+  EXPECT_EQ(a.value("net.drop"), 4u);
+  EXPECT_EQ(a.value("missing"), 0u);
+  EXPECT_EQ(a.total(), 6u);
+  CounterSet b;
+  b.Increment("mmu.fault", 2);
+  b.Increment("net.drop", 4);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
 }
 
 TEST(StatsTest, SamplesPercentiles) {

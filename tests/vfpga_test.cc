@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/services/vector_kernels.h"
@@ -166,6 +167,34 @@ TEST(CheckpointTest, CrcTrailerRejectsAnySingleBitFlip) {
     bad[i] ^= 0x10;
     EXPECT_FALSE(ckpt::Reader(bad).ok()) << "byte " << i;
   }
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (const uint8_t b : bytes) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 0xF];
+  }
+  return s;
+}
+
+// Byte-for-byte golden of one CYK1 blob: header, a RegionSnapshot section,
+// trailing Bytes/Str fields and the CRC trailer.
+TEST(CheckpointTest, BlobMatchesGoldenBytes) {
+  RegionSnapshot snap;
+  snap.kernel_name = "passthrough";
+  snap.csr = {{0, 0x11}, {3, 0x0123456789ABCDEFull}};
+  snap.beats_retired = 96;
+  snap.kernel_state = {0xDE, 0xAD, 0xBE, 0xEF};
+  ckpt::Writer w(/*flags=*/0x0102);
+  snap.AppendTo(&w);
+  w.Bytes(std::vector<uint8_t>{1, 2, 3});
+  w.Str("dirty");
+  EXPECT_EQ(Hex(std::move(w).Finish()),
+            "43594b31010002010b000000706173737468726f756768020000000000000011"
+            "0000000000000003000000efcdab8967452301600000000000000004000000de"
+            "adbeef03000000010203050000006469727479fd5e754a");
 }
 
 TEST(CheckpointTest, TruncatedOrOverlongBlobIsRejected) {
